@@ -107,7 +107,8 @@ def cmd_stability(args) -> int:
 def cmd_glue(args) -> int:
     src = FiniteMetricSpace.load(args.space_a)
     tgt = FiniteMetricSpace.load(args.space_b)
-    region_cfg = json.load(open(args.region))
+    with open(args.region) as fh:
+        region_cfg = json.load(fh)
     config = GluingConfig(src, frozenset(region_cfg["D"]), float(region_cfg["mu"]))
     g = {int(k): int(v) for k, v in region_cfg["g"].items()}
     f_img = region_cfg.get("f")

@@ -19,7 +19,14 @@ class ComplexError(ValueError):
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Downward-closed family of vertex index sets."""
+    """Downward-closed family of vertex index sets.
+
+    Construction checks only the codimension-1 faces s - {v} of each simplex
+    s.  That is enough for full downward closure, by induction on the size of
+    the face: any nonempty face f of s is reached by removing the vertices of
+    s - f one at a time, and each step goes from a member of the family to
+    one of its codimension-1 faces, which the check has found in the family.
+    """
 
     n_vertices: int
     simplices: frozenset
@@ -31,13 +38,8 @@ class SimplicialComplex:
                 raise ComplexError("empty simplex not allowed")
             if min(s) < 0 or max(s) >= self.n_vertices:
                 raise ComplexError(f"vertex out of range in {sorted(s)}")
-            for v in s:
-                if frozenset([v]) not in sims:
-                    raise ComplexError("complex is not downward closed")
-            for k in range(1, len(s)):
-                for face in itertools.combinations(s, k):
-                    if frozenset(face) not in sims:
-                        raise ComplexError("complex is not downward closed")
+            if len(s) > 1 and any(s - {v} not in sims for v in s):
+                raise ComplexError("complex is not downward closed")
         object.__setattr__(self, "simplices", sims)
 
     @classmethod
@@ -68,11 +70,11 @@ class SimplicialComplex:
         return sorted(out)
 
     def maximal_simplices(self):
-        out = []
-        for s in self.simplices:
-            if not any(s < t for t in self.simplices):
-                out.append(tuple(sorted(s)))
-        return sorted(out)
+        """Sorted simplices that are no proper face of another.  By downward
+        closure, a simplex with a proper coface is a codimension-1 face of
+        some simplex, so marking those faces finds all non-maximal ones."""
+        faces = {s - {v} for s in self.simplices if len(s) > 1 for v in s}
+        return sorted(tuple(sorted(s)) for s in self.simplices if s not in faces)
 
     def skeleton(self, k: int) -> "SimplicialComplex":
         if k < 0:
@@ -116,7 +118,8 @@ class SimplicialComplex:
 
     @classmethod
     def load(cls, path: str) -> "SimplicialComplex":
-        return cls.from_json(json.load(open(path)))
+        with open(path) as fh:
+            return cls.from_json(json.load(fh))
 
 
 class BarycentricPoint:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .complex import BarycentricPoint, realization_distance
 from .cover import Cover
 from .metric import FiniteMetricSpace, MetricError
-from .nerve import nerve_of
+from .nerve import nerve_of, require_full_nerve
 from .partition import PartitionOfUnity
 
 DEFAULT_L = 7.0
@@ -71,11 +71,14 @@ class CylinderSpace:
     """The union over nerve simplices sigma of sigma x K(U_sigma).
 
     Holds the cover, its nerve and partition of unity, and enforces the
-    membership invariant base(cone) in U_supp(theta) on every point.
+    membership invariant base(cone) in U_supp(theta) on every point.  The
+    cover's multiplicity must not exceed max_dim + 1, or some support would
+    have no nerve simplex.
     """
 
     def __init__(self, cover: Cover, L: float = DEFAULT_L, max_dim: int = 8):
         validate_height_scale(L)
+        require_full_nerve(cover, max_dim)
         self.cover = cover
         self.space = cover.space
         self.L = float(L)

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import FiniteMetricSpace, MetricError, distance_to_set
+from .metric import FiniteMetricSpace
 
 BETWEEN_TOL = 1e-9
 
@@ -59,6 +59,12 @@ class Cover:
             object.__setattr__(
                 self, "radius_hint", tuple(float(r) for r in self.radius_hint)
             )
+        # member bitsets, bit x set when point x is in the set (Python ints:
+        # numpy integers would wrap past bit 63); kept out of the dataclass
+        # fields so equality and JSON stay about the sets
+        object.__setattr__(
+            self, "_masks", tuple(sum(1 << int(x) for x in s) for s in sets)
+        )
 
     @property
     def n_sets(self) -> int:
@@ -122,7 +128,8 @@ class Cover:
 
     @classmethod
     def load(cls, space: FiniteMetricSpace, path: str) -> "Cover":
-        return cls.from_json(space, json.load(open(path)))
+        with open(path) as fh:
+            return cls.from_json(space, json.load(fh))
 
 
 def greedy_net(space: FiniteMetricSpace, separation: float, seed: int = 0):
@@ -163,52 +170,97 @@ class IntersectionRecord:
     center: int
 
 
-def _chebyshev_center(cover: Cover, members: frozenset) -> int:
-    """Member with the largest clearance from the complement of the
-    intersection; ties broken by lowest point index."""
-    space = cover.space
-    comp = [i for i in range(space.n) if i not in members]
-    best, best_d = None, -1.0
-    for x in sorted(members):
-        d = space.diameter() + 1.0 if not comp else float(space.dist[x, comp].min())
-        if d > best_d:
-            best, best_d = x, d
-    return best
+def _index_sets(cover: Cover, max_order: int):
+    """Yield (indices, bitmask) for every nonempty intersection of at most
+    max_order sets: indices is the sorted tuple of set indices, bitmask the
+    member bitset.
+
+    Order contract: level by level (by number of sets), lexicographic within
+    a level.  Each level extends the previous one by appending a larger
+    index, so every index set is reached exactly once, from its prefix.
+    """
+    masks = cover._masks
+    m = len(masks)
+    frontier = [((j,), mask) for j, mask in enumerate(masks)]
+    for _ in range(max_order):
+        yield from frontier
+        nxt = []
+        for idx, mask in frontier:
+            for j in range(idx[-1] + 1, m):
+                meet = mask & masks[j]
+                if meet:
+                    nxt.append((idx + (j,), meet))
+        if not nxt:
+            break
+        frontier = nxt
+
+
+def _clearances(cover: Cover) -> np.ndarray:
+    """n x m matrix of the distance from each member of set j to the
+    complement of set j, by one masked min over columns per set: the floats
+    ``Cover.complement_distance`` gives, but inf for a whole-space set.
+    Entries off the set are inf as well and carry no meaning."""
+    dist = cover.space.dist
+    n = cover.space.n
+    out = np.full((n, cover.n_sets), np.inf)
+    for j, s in enumerate(cover.sets):
+        if len(s) < n:
+            inside = np.zeros(n, dtype=bool)
+            inside[list(s)] = True
+            members = np.flatnonzero(inside)
+            out[members, j] = dist[np.ix_(members, ~inside)].min(axis=1)
+    return out
 
 
 def intersections(cover: Cover, max_order: int):
     """All nonempty intersections of at most max_order sets.
 
-    Singleton records keep the cover's designated centers; higher-order
-    records get a clearance-maximizing member as center.
+    Records come level by level (singletons first, then pairs, ...) and
+    lexicographically by sorted indices within a level.  Singleton records
+    keep the cover's designated centers; higher-order records get as center
+    the member with the largest clearance from the complement of the
+    intersection, ties broken by lowest point index, so a whole-space
+    intersection takes its lowest member.
     """
     if max_order < 1:
         raise CoverError("max_order must be >= 1")
+    n = cover.space.n
+    nbytes = (n + 7) // 8
+    clearance = _clearances(cover)
     records = []
-    frontier = []
-    for j in range(cover.n_sets):
-        rec = IntersectionRecord(frozenset([j]), cover.sets[j], cover.centers[j])
-        records.append(rec)
-        frontier.append(rec)
-    for _ in range(2, max_order + 1):
-        nxt = []
-        seen = set()
-        for rec in frontier:
-            top = max(rec.indices)
-            for j in range(top + 1, cover.n_sets):
-                idx = rec.indices | {j}
-                if idx in seen:
-                    continue
-                members = rec.members & cover.sets[j]
-                if members:
-                    seen.add(idx)
-                    nxt.append(
-                        IntersectionRecord(idx, members, _chebyshev_center(cover, members))
-                    )
-        records.extend(nxt)
-        frontier = nxt
-        if not frontier:
-            break
+    for order, level in itertools.groupby(
+        _index_sets(cover, max_order), key=lambda rec: len(rec[0])
+    ):
+        indices, masks = zip(*level)
+        if order == 1:
+            records.extend(
+                IntersectionRecord(frozenset(idx), cover.sets[idx[0]], cover.centers[idx[0]])
+                for idx in indices
+            )
+            continue
+        packed = np.frombuffer(
+            b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype=np.uint8
+        ).reshape(len(masks), nbytes)
+        rows, points = np.nonzero(
+            np.unpackbits(packed, axis=1, count=n, bitorder="little")
+        )
+        # the complement of an intersection is the union of the sets'
+        # complements, so a member's clearance is its least per-set clearance
+        sets = np.array(indices)
+        clear = clearance[points, sets[rows, 0]]
+        for t in range(1, order):
+            clear = np.minimum(clear, clearance[points, sets[rows, t]])
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        # per record: largest clearance first, then lowest point index
+        ranked = np.lexsort((points, -clear, rows))
+        centers = points[ranked[starts]].tolist()
+        members = points.tolist()
+        starts = starts.tolist()
+        bounds = zip(starts, starts[1:] + [len(members)])
+        records.extend(
+            IntersectionRecord(frozenset(idx), frozenset(members[a:b]), c)
+            for idx, (a, b), c in zip(indices, bounds, centers)
+        )
     return records
 
 

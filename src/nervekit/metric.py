@@ -25,9 +25,10 @@ class MetricError(ValueError):
 class FiniteMetricSpace:
     """A finite metric space given by a full distance matrix.
 
-    The matrix is validated at construction: zero diagonal, symmetry and the
-    triangle inequality, all within ``METRIC_TOL``.  Instances are immutable
-    and safe to share between threads.
+    The matrix is validated at construction: finite entries first, then zero
+    diagonal, symmetry and the triangle inequality, all within
+    ``METRIC_TOL``.  Instances are immutable and safe to share between
+    threads.
     """
 
     dist: np.ndarray
@@ -40,6 +41,9 @@ class FiniteMetricSpace:
         n = d.shape[0]
         if n == 0:
             raise MetricError("empty distance matrix")
+        if not np.isfinite(d).all():
+            i, j = np.argwhere(~np.isfinite(d))[0]
+            raise MetricError(f"non-finite distance at ({i},{j}): {d[i, j]}")
         if np.any(d < -METRIC_TOL):
             i, j = np.unravel_index(np.argmin(d), d.shape)
             raise MetricError(f"negative distance at ({i},{j}): {d[i, j]}")
@@ -109,7 +113,8 @@ class FiniteMetricSpace:
     @classmethod
     def load(cls, path: str) -> "FiniteMetricSpace":
         """Read a space from CSV (square matrix, optional header) or JSON."""
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
         if path.endswith(".json") or text.lstrip().startswith("{"):
             return cls.from_json(json.loads(text))
         rows = [r for r in csv.reader(text.splitlines()) if r]

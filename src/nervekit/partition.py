@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex import BarycentricPoint
-from .cover import Cover, CoverError
+from .cover import Cover, CoverError, _clearances
 from .metric import FiniteMetricSpace
 
 ROW_SUM_TOL = 1e-12
@@ -45,11 +45,15 @@ class PartitionOfUnity:
                     "from the complement; choose an interior center"
                 )
         self.cover = cover
-        n, m = cover.space.n, cover.n_sets
-        raw = np.zeros((n, m))
-        for j in range(m):
-            for x in cover.sets[j]:
-                raw[x, j] = f_weight(cover, j, x)
+        dist = cover.space.dist
+        # the floats f_weight computes: a whole-space set's infinite
+        # clearance reads as diam+1, every other clearance is at most diam
+        clearance = np.minimum(_clearances(cover), cover.space.diameter() + 1.0)
+        raw = np.zeros((cover.space.n, cover.n_sets))
+        for j, s in enumerate(cover.sets):
+            members = sorted(s)
+            comp = clearance[members, j]
+            raw[members, j] = comp / (comp + dist[members, cover.centers[j]])
         totals = raw.sum(axis=1)
         if np.any(totals <= 0):
             missing = int(np.argmin(totals))

@@ -17,7 +17,7 @@ from .cover import Cover, CoverError, intersections
 from .metric import (FiniteMetricSpace, MetricError, PointMap,
                      ApproximationCertificate, check_approximation,
                      check_strainer)
-from .nerve import nerve_of
+from .nerve import nerve_of, require_full_nerve
 from .partition import PartitionOfUnity
 
 
@@ -37,8 +37,10 @@ def lift_cover(cover: Cover, approx: ApproximationCertificate,
 
     The enlargement keeps every transported member inside its transported
     set; any larger margin would risk creating intersections absent in the
-    source nerve.
+    source nerve.  Both covers' multiplicities must stay within max_dim + 1,
+    so that the compared nerves are whole.
     """
+    require_full_nerve(cover, max_dim)
     mesh = cover.mesh()
     if not approx.epsilon < mesh / 4.0:
         raise MetricError(
@@ -68,6 +70,7 @@ def lift_cover(cover: Cover, approx: ApproximationCertificate,
                        radius_hint=tuple(r + pad for r in radii))
     except CoverError as exc:
         raise MetricError(f"lifted sets are not a cover: {exc}") from exc
+    require_full_nerve(lifted, max_dim)
     n_src = nerve_of(cover, max_dim=max_dim)
     n_tgt = nerve_of(lifted, max_dim=max_dim)
     if n_src.simplices != n_tgt.simplices:
@@ -132,6 +135,8 @@ def homotopy_equivalence_via_nerves(lift: LiftedCover, max_dim: int = 8) -> Equi
     samples and measure its displacement against the approximation.
     """
     src, tgt = lift.source, lift.target
+    require_full_nerve(src, max_dim)
+    require_full_nerve(tgt, max_dim)
     pou_src = PartitionOfUnity(src)
     pou_tgt = PartitionOfUnity(tgt)
     zeta_src = _zeta_table(src, max_dim)

@@ -7,8 +7,9 @@ from conftest import three_arc_cover
 from nervekit.cone import (ConePoint, CylinderPoint, CylinderSpace,
                            cone_distance, validate_height_scale, DEFAULT_L)
 from nervekit.complex import BarycentricPoint, realization_distance
+from nervekit.cover import Cover, CoverError
 from nervekit.metric import MetricError
-from nervekit.samples import circle_space, random_point_space
+from nervekit.samples import circle_space, line_space, random_point_space
 
 
 def test_height_scale_guard():
@@ -125,3 +126,12 @@ def test_cylinder_point_json_roundtrip():
     back = CylinderPoint.from_json(p.to_json())
     assert back.theta == p.theta
     assert back.cone == p.cone
+
+
+def test_cylinder_rejects_truncated_nerve():
+    space = line_space(12)
+    cov = Cover(space, (frozenset(range(12)),) * 10, tuple(range(10)))
+    with pytest.raises(CoverError, match=r"multiplicity 10 .*max_dim 8"):
+        CylinderSpace(cov)
+    cyl = CylinderSpace(cov, max_dim=9)
+    assert cyl.tau_embed(0).theta.support == frozenset(range(10))

@@ -46,6 +46,31 @@ def test_rejects_negative_entries():
         FiniteMetricSpace(d)
 
 
+def test_rejects_nan_entry_and_names_it():
+    d = np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 1.0], [np.nan, 1.0, 0.0]])
+    with pytest.raises(MetricError, match=r"non-finite distance at \(0,2\): nan"):
+        FiniteMetricSpace(d)
+
+
+def test_rejects_inf_entry_before_triangle_check():
+    d = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, 1.0], [np.inf, 1.0, 0.0]])
+    with pytest.raises(MetricError, match=r"non-finite distance at \(0,2\): inf"):
+        FiniteMetricSpace(d)
+
+
+@given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=100),
+       st.data())
+@settings(max_examples=30, deadline=None)
+def test_any_non_finite_entry_is_rejected(n, seed, data):
+    d = np.array(random_point_space(n, dim=2, seed=seed).dist)
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1))
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    d[i, j] = bad
+    with pytest.raises(MetricError, match="non-finite distance"):
+        FiniteMetricSpace(d)
+
+
 def test_matrix_is_read_only():
     sp = line_space(3)
     with pytest.raises(ValueError):

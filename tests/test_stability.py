@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import three_arc_cover
-from nervekit.cover import Cover
+from nervekit.cover import Cover, CoverError
 from nervekit.metric import (FiniteMetricSpace, MetricError, PointMap,
                              check_approximation)
 from nervekit.nerve import nerve_of
-from nervekit.samples import grid_with_strainers
+from nervekit.samples import grid_with_strainers, line_space
 from nervekit.stability import (Chart, ChartAtlas, GluingConfig,
-                                almost_inverse, build_gluing_atlas,
+                                LiftedCover, almost_inverse, build_gluing_atlas,
                                 default_rho, glue_homotopies, glue_maps,
                                 homotopy_equivalence_via_nerves, lift_cover,
                                 strainer_chart)
@@ -100,6 +100,26 @@ def test_equivalence_single_set_cover():
     report = homotopy_equivalence_via_nerves(lift_cover(cov, cert))
     # one nerve vertex: h is constant at the intersection center
     assert len(set(report.h.image.tolist())) == 1
+    assert report.membership_ok
+
+
+def _whole_space_cover(sets=10, n=12):
+    space = line_space(n)
+    return Cover(space, (frozenset(range(n)),) * sets, tuple(range(sets)))
+
+
+def test_lift_rejects_truncated_nerve():
+    cov = _whole_space_cover()
+    with pytest.raises(CoverError, match=r"multiplicity 10 .*max_dim 8"):
+        lift_cover(cov, _identity_cert(cov, 0.5))
+
+
+def test_equivalence_rejects_truncated_nerve():
+    cov = _whole_space_cover()
+    lift = LiftedCover(cov, cov, tuple(range(cov.n_sets)), _identity_cert(cov, 0.5))
+    with pytest.raises(CoverError, match=r"multiplicity 10 .*max_dim 8"):
+        homotopy_equivalence_via_nerves(lift)
+    report = homotopy_equivalence_via_nerves(lift, max_dim=9)
     assert report.membership_ok
 
 
