@@ -10,33 +10,32 @@ from .cone import (ConePoint, CylinderPoint, CylinderSpace, cone_distance,
 from .cover import (Cover, CoverError, build_ball_cover, goodness_report,
                     greedy_net, intersections)
 from .homology import betti, gf2_rank, nerve_matches_space, vr_complex
-from .metric import (ApproximationCertificate, FiniteMetricSpace, MetricError,
+from .metric import (ApproximationReport, FiniteMetricSpace, MetricError,
                      PointMap, check_approximation, check_strainer,
                      comparison_angle, gh_distance_bound,
                      gh_distance_exhaustive)
 from .nerve import nerve_of
-from .partition import PartitionOfUnity, estimate_lipschitz, f_weight, theta
+from .partition import PartitionOfUnity, estimate_lipschitz
 from .retraction import (Contraction, build_contractions, cone_retraction_phi,
                          full_cylinder_retraction, homotopy_F, homotopy_H,
                          radial_projection, simplexwise_retraction)
 from .stability import (Chart, ChartAtlas, GluingConfig, LiftedCover,
                         build_gluing_atlas, glue_homotopies, glue_maps,
-                        homotopy_equivalence_via_nerves, lift_cover,
-                        strainer_chart)
+                        homotopy_equivalence_via_nerves, lift_cover)
 
 __all__ = [
-    "ApproximationCertificate", "BarycentricPoint", "Chart", "ChartAtlas",
+    "ApproximationReport", "BarycentricPoint", "Chart", "ChartAtlas",
     "ConePoint", "Contraction", "Cover", "CoverError", "CylinderPoint",
     "CylinderSpace", "DEFAULT_L", "FiniteMetricSpace", "GluingConfig",
     "LiftedCover", "MetricError", "PartitionOfUnity", "PointMap",
     "SimplicialComplex", "betti", "build_ball_cover", "build_contractions",
     "build_gluing_atlas", "check_approximation", "check_strainer",
     "comparison_angle", "cone_distance", "cone_retraction_phi",
-    "estimate_lipschitz", "f_weight", "full_cylinder_retraction", "gf2_rank",
+    "estimate_lipschitz", "full_cylinder_retraction", "gf2_rank",
     "gh_distance_bound", "gh_distance_exhaustive", "glue_homotopies",
     "glue_maps", "goodness_report", "greedy_net",
     "homotopy_equivalence_via_nerves", "homotopy_F", "homotopy_H",
     "intersections", "lift_cover", "nerve_matches_space", "nerve_of",
     "radial_projection", "realization_distance", "simplexwise_retraction",
-    "strainer_chart", "theta", "vr_complex",
+    "vr_complex",
 ]

@@ -19,7 +19,7 @@ from .homology import nerve_matches_space
 from .metric import (FiniteMetricSpace, MetricError, PointMap,
                      check_approximation, gh_distance_bound,
                      gh_distance_exhaustive)
-from .nerve import nerve_of
+from .nerve import DEFAULT_MAX_DIM, nerve_of
 from .stability import (GluingConfig, build_gluing_atlas, glue_maps,
                         homotopy_equivalence_via_nerves, lift_cover)
 
@@ -87,7 +87,7 @@ def cmd_stability(args) -> int:
         return 2
     pmap = PointMap(src, tgt, np.arange(src.n))
     cert = check_approximation(pmap, args.epsilon)
-    if not hasattr(cert, "map") or hasattr(cert, "worst_pair"):
+    if not cert.ok:
         print(f"identity map is not an {args.epsilon}-approximation: "
               f"distortion {cert.distortion}, defect {cert.defect}",
               file=sys.stderr)
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     n = sub.add_parser("nerve", help="write the nerve of a cover")
     n.add_argument("space")
     n.add_argument("cover")
-    n.add_argument("--max-dim", type=int, default=8)
+    n.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     n.add_argument("--out", required=True)
     n.set_defaults(func=cmd_nerve)
 
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("space_b")
     s.add_argument("cover")
     s.add_argument("--epsilon", type=float, required=True)
-    s.add_argument("--max-dim", type=int, default=8)
+    s.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     s.add_argument("--out", default="")
     s.set_defaults(func=cmd_stability)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .complex import BarycentricPoint, realization_distance
 from .cover import Cover
 from .metric import FiniteMetricSpace, MetricError
-from .nerve import nerve_of, require_full_nerve
+from .nerve import DEFAULT_MAX_DIM, nerve_of, require_full_nerve
 from .partition import PartitionOfUnity
 
 DEFAULT_L = 7.0
@@ -29,9 +29,6 @@ def validate_height_scale(L: float):
 class ConePoint:
     base: int
     t: float
-
-    def is_apex(self, L: float) -> bool:
-        return self.t == L
 
 
 def cone_distance(a: ConePoint, b: ConePoint, space: FiniteMetricSpace, L: float = DEFAULT_L) -> float:
@@ -76,7 +73,8 @@ class CylinderSpace:
     have no nerve simplex.
     """
 
-    def __init__(self, cover: Cover, L: float = DEFAULT_L, max_dim: int = 8):
+    def __init__(self, cover: Cover, L: float = DEFAULT_L,
+                 max_dim: int = DEFAULT_MAX_DIM):
         validate_height_scale(L)
         require_full_nerve(cover, max_dim)
         self.cover = cover
@@ -122,8 +120,3 @@ class CylinderSpace:
             frozenset.intersection(*[self.cover.sets[j] for j in supp])
         )
         return CylinderPoint(theta, ConePoint(base, self.L))
-
-
-def psi_project(p: CylinderPoint) -> BarycentricPoint:
-    """Forget the cone factor; 1-Lipschitz for the product metric."""
-    return p.theta

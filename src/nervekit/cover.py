@@ -80,21 +80,6 @@ class Cover:
         """Indices of the sets containing x."""
         return frozenset(j for j, s in enumerate(self.sets) if x in s)
 
-    def complement_distance(self, j: int, x: int) -> float:
-        """Distance from x to the complement of set j; diam+1 when the set is
-        the whole space."""
-        comp = [i for i in range(self.space.n) if i not in self.sets[j]]
-        if not comp:
-            return self.space.diameter() + 1.0
-        return float(self.space.dist[x, comp].min())
-
-    def boundary_flagged(self):
-        """Sets whose center touches the complement (zero clearance)."""
-        return [
-            j for j in range(self.n_sets)
-            if self.complement_distance(j, self.centers[j]) == 0.0
-        ]
-
     def mesh(self) -> float:
         """Largest set diameter."""
         out = 0.0
@@ -197,9 +182,9 @@ def _index_sets(cover: Cover, max_order: int):
 
 def _clearances(cover: Cover) -> np.ndarray:
     """n x m matrix of the distance from each member of set j to the
-    complement of set j, by one masked min over columns per set: the floats
-    ``Cover.complement_distance`` gives, but inf for a whole-space set.
-    Entries off the set are inf as well and carry no meaning."""
+    complement of set j, by one masked min over columns per set; inf for a
+    whole-space set.  Entries off the set are inf as well and carry no
+    meaning."""
     dist = cover.space.dist
     n = cover.space.n
     out = np.full((n, cover.n_sets), np.inf)

@@ -10,11 +10,14 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 METRIC_TOL = 1e-9
+# rows per block of the triangle check: its temporary is at most
+# TRIANGLE_BLOCK * n^2 floats instead of n^3
+TRIANGLE_BLOCK = 32
 
 
 class MetricError(ValueError):
@@ -55,8 +58,11 @@ class FiniteMetricSpace:
             i, j = np.unravel_index(np.argmax(asym), asym.shape)
             raise MetricError(f"asymmetric entry at ({i},{j}): {d[i, j]} vs {d[j, i]}")
         # min_j d[i,j] + d[j,k] must dominate d[i,k]
-        best = np.min(d[:, :, None] + d[None, :, :], axis=1)
-        bad = d - best
+        bad = np.empty_like(d)
+        for a in range(0, n, TRIANGLE_BLOCK):
+            rows = d[a:a + TRIANGLE_BLOCK]
+            best = np.min(rows[:, :, None] + d[None, :, :], axis=1)
+            bad[a:a + TRIANGLE_BLOCK] = rows - best
         if np.any(bad > METRIC_TOL):
             i, k = np.unravel_index(np.argmax(bad), bad.shape)
             j = int(np.argmin(d[i, :] + d[:, k]))
@@ -83,9 +89,6 @@ class FiniteMetricSpace:
     def ball(self, x: int, r: float) -> frozenset:
         """Open ball: indices strictly closer than ``r`` to ``x``."""
         return frozenset(np.flatnonzero(self.dist[x] < r).tolist())
-
-    def distance_to_set(self, x: int, S) -> float:
-        return distance_to_set(self, x, S)
 
     @classmethod
     def from_coords(cls, coords) -> "FiniteMetricSpace":
@@ -126,14 +129,6 @@ class FiniteMetricSpace:
         return cls(d)
 
 
-def distance_to_set(space: FiniteMetricSpace, x: int, S) -> float:
-    """min over s in S of dist[x][s]."""
-    idx = list(S)
-    if not idx:
-        raise MetricError("empty set has no distance")
-    return float(space.dist[x, idx].min())
-
-
 @dataclass(frozen=True)
 class PointMap:
     """A map between finite metric spaces, one target index per source index."""
@@ -169,15 +164,10 @@ class PointMap:
 
 
 @dataclass(frozen=True)
-class ApproximationCertificate:
-    map: PointMap
-    epsilon: float
-    distortion: float
-    defect: float
+class ApproximationReport:
+    """How far ``map`` is from an epsilon-approximation, with the source pair
+    of worst distortion and the target point farthest from the image."""
 
-
-@dataclass(frozen=True)
-class ApproximationViolation:
     map: PointMap
     epsilon: float
     distortion: float
@@ -185,20 +175,19 @@ class ApproximationViolation:
     worst_pair: tuple
     worst_target: int
 
+    @property
+    def ok(self) -> bool:
+        """Both strict conditions: metric distortion < epsilon over all
+        source pairs, and every target point within epsilon of the image."""
+        return self.distortion < self.epsilon and self.defect < self.epsilon
 
-def check_approximation(pmap: PointMap, epsilon: float):
-    """Certify ``pmap`` as an epsilon-approximation, or report the violation.
 
-    Both conditions are strict: metric distortion < epsilon over all source
-    pairs, and every target point within epsilon of the image.
-    """
+def check_approximation(pmap: PointMap, epsilon: float) -> ApproximationReport:
+    """Measure ``pmap`` against epsilon; ``ok`` on the result tells whether it
+    is an epsilon-approximation."""
     dist_val, pair = pmap.distortion()
     defect, y = pmap.surjectivity_defect()
-    if dist_val < epsilon and defect < epsilon:
-        return ApproximationCertificate(pmap, float(epsilon), dist_val, defect)
-    return ApproximationViolation(
-        pmap, float(epsilon), dist_val, defect, pair, y
-    )
+    return ApproximationReport(pmap, float(epsilon), dist_val, defect, pair, y)
 
 
 _GH_SIZE_CAP = 6

@@ -18,37 +18,24 @@ from .complex import BarycentricPoint
 from .cover import Cover, CoverError, _clearances
 from .metric import FiniteMetricSpace
 
-ROW_SUM_TOL = 1e-12
-
-
-def f_weight(cover: Cover, j: int, x: int) -> float:
-    """Raw cutoff weight of set j at point x; zero off U_j.
-
-    When U_j is the whole space the complement distance is read as diam+1 so
-    the weight stays in (0, 1].
-    """
-    if x not in cover.sets[j]:
-        return 0.0
-    comp = cover.complement_distance(j, x)
-    center = float(cover.space.dist[x, cover.centers[j]])
-    return comp / (comp + center)
-
 
 class PartitionOfUnity:
     """Row-stochastic matrix of normalized weights, one row per point."""
 
     def __init__(self, cover: Cover):
-        for j in cover.boundary_flagged():
-            if len(cover.sets[j]) < cover.space.n:
+        clearance = _clearances(cover)
+        # a whole-space set's clearance is inf, never zero
+        for j, c in enumerate(cover.centers):
+            if clearance[c, j] == 0.0:
                 raise CoverError(
-                    f"center {cover.centers[j]} of set {j} has zero clearance "
+                    f"center {c} of set {j} has zero clearance "
                     "from the complement; choose an interior center"
                 )
         self.cover = cover
         dist = cover.space.dist
-        # the floats f_weight computes: a whole-space set's infinite
-        # clearance reads as diam+1, every other clearance is at most diam
-        clearance = np.minimum(_clearances(cover), cover.space.diameter() + 1.0)
+        # a whole-space set's infinite clearance reads as diam+1, so its
+        # weight stays in (0, 1]; every other clearance is at most diam
+        clearance = np.minimum(clearance, cover.space.diameter() + 1.0)
         raw = np.zeros((cover.space.n, cover.n_sets))
         for j, s in enumerate(cover.sets):
             members = sorted(s)
@@ -69,19 +56,6 @@ class PartitionOfUnity:
 
     def support(self, x: int) -> frozenset:
         return frozenset(int(j) for j in np.flatnonzero(self.values[x]))
-
-
-def theta(cover: Cover, x: int) -> BarycentricPoint:
-    """One-shot nerve map for a single point."""
-    weights = {}
-    for j in range(cover.n_sets):
-        w = f_weight(cover, j, x)
-        if w > 0.0:
-            weights[j] = w
-    if not weights:
-        raise CoverError(f"cover violation: point {x} is not covered")
-    total = sum(weights.values())
-    return BarycentricPoint({j: w / total for j, w in weights.items()})
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .complex import BarycentricPoint, combine
 from .cone import ConePoint, CylinderPoint, CylinderSpace, cone_distance
 from .cover import Cover, intersections
 from .metric import FiniteMetricSpace, MetricError
+from .nerve import DEFAULT_MAX_DIM
 from .partition import PartitionOfUnity
 
 
@@ -31,37 +32,35 @@ def lerp(a: float, b: float, s: float) -> float:
     return (1.0 - s) * a + s * b
 
 
-class CutoffProfile:
-    """Piecewise-linear cutoff functions g, mu, nu with their plateaus exact.
-
-    g(t, s) is 1 for s <= 1/3 and 0 at s = 1; mu is 0 below 1/2 and 1 above
-    2/3; nu is 0 below 2/3 and 1 above 3/4.  Between plateaus everything is
-    linear, the simplest Lipschitz completion.
-    """
-
-    def g(self, t: float, s: float) -> float:
-        if s <= 1.0 / 3.0:
-            return 1.0
-        if s >= 1.0:
-            return 0.0
-        return (1.0 - s) * 1.5
-
-    def mu(self, s: float) -> float:
-        if s <= 0.5:
-            return 0.0
-        if s >= 2.0 / 3.0:
-            return 1.0
-        return (s - 0.5) * 6.0
-
-    def nu(self, s: float) -> float:
-        if s <= 2.0 / 3.0:
-            return 0.0
-        if s >= 0.75:
-            return 1.0
-        return (s - 2.0 / 3.0) * 12.0
+# Piecewise-linear cutoff functions g, mu, nu with their plateaus exact.
+# Between plateaus everything is linear, the simplest Lipschitz completion.
 
 
-DEFAULT_PROFILE = CutoffProfile()
+def cutoff_g(s: float) -> float:
+    """1 for s <= 1/3, 0 at s = 1."""
+    if s <= 1.0 / 3.0:
+        return 1.0
+    if s >= 1.0:
+        return 0.0
+    return (1.0 - s) * 1.5
+
+
+def cutoff_mu(s: float) -> float:
+    """0 below 1/2, 1 above 2/3."""
+    if s <= 0.5:
+        return 0.0
+    if s >= 2.0 / 3.0:
+        return 1.0
+    return (s - 0.5) * 6.0
+
+
+def cutoff_nu(s: float) -> float:
+    """0 below 2/3, 1 above 3/4."""
+    if s <= 2.0 / 3.0:
+        return 0.0
+    if s >= 0.75:
+        return 1.0
+    return (s - 2.0 / 3.0) * 12.0
 
 
 class Contraction:
@@ -105,7 +104,8 @@ class Contraction:
         return path[int(round(frac * (len(path) - 1)))]
 
 
-def build_contractions(cover: Cover, L: float, max_order: int = 9) -> dict:
+def build_contractions(cover: Cover, L: float,
+                       max_order: int = DEFAULT_MAX_DIM + 1) -> dict:
     """One contraction per nonempty intersection, keyed by its index set."""
     return {
         rec.indices: Contraction(cover.space, rec.members, rec.center, L)
@@ -131,22 +131,14 @@ def homotopy_H(pou: PartitionOfUnity, theta: BarycentricPoint, x: int,
 
 def homotopy_F(p: CylinderPoint, s: float, L: float) -> CylinderPoint:
     """Push the cone factor toward the apex; the apex slice is fixed."""
-    t = p.cone.t
-    if s == 0.0 or t == L:
-        new_t = t
-    elif s == 1.0:
-        new_t = L
-    else:
-        new_t = (1.0 - s) * t + s * L
-    return CylinderPoint(p.theta, ConePoint(p.cone.base, new_t))
+    return CylinderPoint(p.theta, ConePoint(p.cone.base, lerp(p.cone.t, L, s)))
 
 
-def cone_retraction_phi(contraction: Contraction, p: ConePoint, s: float,
-                        profile: CutoffProfile = DEFAULT_PROFILE) -> ConePoint:
+def cone_retraction_phi(contraction: Contraction, p: ConePoint, s: float) -> ConePoint:
     """Retraction of the cone over one cover set onto its base slice."""
     t = p.t
     base = contraction(p.base, s * t)
-    g = profile.g(t, s)
+    g = cutoff_g(s)
     return ConePoint(base, t if g == 1.0 else g * t)
 
 
@@ -195,16 +187,20 @@ def radial_projection(sigma, x: BarycentricPoint, t: float, L: float):
 
 class _BlendGrid:
     """Sampled distances to the low-landing and high-landing regions of
-    sigma x [0, L], shared across simplices of equal dimension."""
+    sigma x [0, L], shared across simplices of equal dimension: barycentric
+    coordinates in steps of 1/SUBDIVISIONS, HEIGHTS evenly spaced heights."""
 
-    def __init__(self, k: int, L: float, subdivisions: int = 12, heights: int = 25):
+    SUBDIVISIONS = 12
+    HEIGHTS = 25
+
+    def __init__(self, k: int, L: float):
         verts = tuple(range(k))
         pts = []
         us = []
-        for comp in itertools.combinations_with_replacement(range(k), subdivisions):
-            counts = np.bincount(comp, minlength=k).astype(float) / subdivisions
+        for comp in itertools.combinations_with_replacement(range(k), self.SUBDIVISIONS):
+            counts = np.bincount(comp, minlength=k).astype(float) / self.SUBDIVISIONS
             b = BarycentricPoint({v: c for v, c in zip(verts, counts) if c > 0})
-            for t in np.linspace(0.0, L, heights):
+            for t in np.linspace(0.0, L, self.HEIGHTS):
                 _, u = radial_projection(verts, b, float(t), L)
                 pts.append(np.append(counts, t))
                 us.append(u)
@@ -250,8 +246,7 @@ def height_blend(sigma, x: BarycentricPoint, t: float, L: float,
 
 
 def simplexwise_retraction(sigma, contraction: Contraction, x: BarycentricPoint,
-                           p: ConePoint, s: float, L: float,
-                           profile: CutoffProfile = DEFAULT_PROFILE):
+                           p: ConePoint, s: float, L: float):
     """One step of the retraction of sigma x K(U_sigma) onto its base and
     boundary part.
 
@@ -263,16 +258,9 @@ def simplexwise_retraction(sigma, contraction: Contraction, x: BarycentricPoint,
     psi0, u = radial_projection(sigma, x, t, L)
     w = height_blend(sigma, x, t, L, u=u)
     new_x = combine(x, psi0, s)
-    mu_s = profile.mu(s)
-    nu_s = profile.nu(s)
+    mu_s = cutoff_mu(s)
     base = contraction(p.base, 0.0 if mu_s == 0.0 else mu_s * (t - u))
-    if nu_s == 0.0 or w == t:
-        new_t = t
-    elif nu_s == 1.0:
-        new_t = w
-    else:
-        new_t = (1.0 - nu_s) * t + nu_s * w
-    return new_x, ConePoint(base, new_t)
+    return new_x, ConePoint(base, lerp(t, w, cutoff_nu(s)))
 
 
 @dataclass(frozen=True)
@@ -317,8 +305,7 @@ class DeformationTrace:
 
 
 def full_cylinder_retraction(cyl: CylinderSpace, contractions: dict,
-                             point: CylinderPoint, n_steps: int = 16,
-                             profile: CutoffProfile = DEFAULT_PROFILE) -> DeformationTrace:
+                             point: CylinderPoint, n_steps: int = 16) -> DeformationTrace:
     """Compose the simplex-wise retractions from the top skeleton down until
     the point reaches the base slice.
 
@@ -346,10 +333,10 @@ def full_cylinder_retraction(cyl: CylinderSpace, contractions: dict,
         pts = []
         for s in grid:
             if len(sigma) == 1:
-                q = CylinderPoint(cur.theta, cone_retraction_phi(con, cur.cone, s, profile))
+                q = CylinderPoint(cur.theta, cone_retraction_phi(con, cur.cone, s))
             else:
                 nx_, nc = simplexwise_retraction(sigma, con, cur.theta, cur.cone,
-                                                 s, cyl.L, profile)
+                                                 s, cyl.L)
                 q = CylinderPoint(nx_, nc)
             if not cyl.check_membership(q):
                 membership_ok = False
@@ -362,8 +349,7 @@ def full_cylinder_retraction(cyl: CylinderSpace, contractions: dict,
 def measure_retraction_lipschitz(contraction: Contraction,
                                  space: FiniteMetricSpace, L: float,
                                  n_steps: int = 16, seed: int = 0,
-                                 samples: int = 400,
-                                 profile: CutoffProfile = DEFAULT_PROFILE):
+                                 samples: int = 400):
     """Empirical Lipschitz data for the cone retraction over one set.
 
     Returns (measured constant, measured constant of the contraction flow,
@@ -401,8 +387,8 @@ def measure_retraction_lipschitz(contraction: Contraction,
         if dom == 0.0:
             continue
         img = cone_distance(
-            cone_retraction_phi(contraction, p, s, profile),
-            cone_retraction_phi(contraction, q, r, profile),
+            cone_retraction_phi(contraction, p, s),
+            cone_retraction_phi(contraction, q, r),
             space, L,
         )
         lip = max(lip, img / dom)

@@ -68,13 +68,6 @@ def tree_space(n: int, seed: int = 0) -> FiniteMetricSpace:
     return FiniteMetricSpace(d)
 
 
-def grid_space(m: int, spacing: float = 1.0) -> FiniteMetricSpace:
-    """An m x m planar grid with Euclidean distances."""
-    xs, ys = np.meshgrid(np.arange(m, dtype=float), np.arange(m, dtype=float))
-    coords = spacing * np.stack([xs.ravel(), ys.ravel()], axis=1)
-    return FiniteMetricSpace.from_coords(coords)
-
-
 def grid_with_strainers(m: int, spacing: float = 1.0, reach: float = 100.0):
     """Planar grid plus four distant axis points usable as a strainer.
 

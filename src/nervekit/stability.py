@@ -8,16 +8,14 @@ strainer-chart coordinates and iterative cutoff gluing.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cover import Cover, CoverError, intersections
-from .metric import (FiniteMetricSpace, MetricError, PointMap,
-                     ApproximationCertificate, check_approximation,
-                     check_strainer)
-from .nerve import nerve_of, require_full_nerve
+from .metric import (ApproximationReport, FiniteMetricSpace, MetricError,
+                     PointMap, check_strainer)
+from .nerve import DEFAULT_MAX_DIM, nerve_of, require_full_nerve
 from .partition import PartitionOfUnity
 
 
@@ -26,20 +24,26 @@ class LiftedCover:
     source: Cover
     target: Cover
     vertex_bijection: tuple
-    approximation: ApproximationCertificate
+    approximation: ApproximationReport
 
 
-def lift_cover(cover: Cover, approx: ApproximationCertificate,
-               max_dim: int = 8) -> LiftedCover:
+def lift_cover(cover: Cover, approx: ApproximationReport,
+               max_dim: int = DEFAULT_MAX_DIM) -> LiftedCover:
     """Transport a cover along an approximation: centers go to their images,
     radii grow by twice the approximation error, and the nerve must come
-    back isomorphic.
+    back isomorphic.  A report that is not ``ok`` is rejected.
 
     The enlargement keeps every transported member inside its transported
     set; any larger margin would risk creating intersections absent in the
     source nerve.  Both covers' multiplicities must stay within max_dim + 1,
     so that the compared nerves are whole.
     """
+    if not approx.ok:
+        raise MetricError(
+            f"map is not an {approx.epsilon}-approximation: distortion "
+            f"{approx.distortion}, defect {approx.defect}; both must be "
+            "below epsilon"
+        )
     require_full_nerve(cover, max_dim)
     mesh = cover.mesh()
     if not approx.epsilon < mesh / 4.0:
@@ -80,12 +84,6 @@ def lift_cover(cover: Cover, approx: ApproximationCertificate,
             f"lift does not preserve the nerve: simplex {bad} differs"
         )
     return LiftedCover(cover, lifted, tuple(range(cover.n_sets)), approx)
-
-
-def _zeta_table(cover: Cover, max_dim: int = 8) -> dict:
-    """Discrete homotopy inverse data: each nerve simplex gets the center of
-    its intersection, a point of the union of its member sets."""
-    return {rec.indices: rec.center for rec in intersections(cover, max_dim + 1)}
 
 
 @dataclass(frozen=True)
@@ -130,38 +128,37 @@ def almost_inverse(pmap: PointMap) -> PointMap:
     return PointMap(pmap.target, pmap.source, img)
 
 
-def homotopy_equivalence_via_nerves(lift: LiftedCover, max_dim: int = 8) -> EquivalenceReport:
+def _through_nerve(domain: Cover, codomain: Cover, max_dim: int):
+    """The sample map domain -> codomain through the shared nerve: each point
+    goes to the center of its support's intersection in the codomain cover,
+    a point of the union of the support's sets.  Also returns whether every
+    image lies in that union."""
+    pou = PartitionOfUnity(domain)
+    zeta = {rec.indices: rec.center for rec in intersections(codomain, max_dim + 1)}
+    img = np.zeros(domain.space.n, dtype=int)
+    membership_ok = True
+    for x in range(domain.space.n):
+        supp = pou.support(x)
+        img[x] = zeta[supp]
+        if not any(img[x] in codomain.sets[j] for j in supp):
+            membership_ok = False
+    return PointMap(domain.space, codomain.space, img), membership_ok
+
+
+def homotopy_equivalence_via_nerves(lift: LiftedCover,
+                                    max_dim: int = DEFAULT_MAX_DIM) -> EquivalenceReport:
     """Realize the homotopy equivalence through the isomorphic nerves on the
     samples and measure its displacement against the approximation.
     """
     src, tgt = lift.source, lift.target
     require_full_nerve(src, max_dim)
     require_full_nerve(tgt, max_dim)
-    pou_src = PartitionOfUnity(src)
-    pou_tgt = PartitionOfUnity(tgt)
-    zeta_src = _zeta_table(src, max_dim)
-    zeta_tgt = _zeta_table(tgt, max_dim)
+    g, g_ok = _through_nerve(src, tgt, max_dim)
+    h, h_ok = _through_nerve(tgt, src, max_dim)
+    membership_ok = g_ok and h_ok
     phi = lift.approximation.map
     psi = almost_inverse(phi)
 
-    membership_ok = True
-    h_img = np.zeros(tgt.space.n, dtype=int)
-    for y in range(tgt.space.n):
-        supp = pou_tgt.support(y)
-        h_img[y] = zeta_src[supp]
-        union = frozenset().union(*[src.sets[j] for j in supp])
-        if h_img[y] not in union:
-            membership_ok = False
-    g_img = np.zeros(src.space.n, dtype=int)
-    for x in range(src.space.n):
-        supp = pou_src.support(x)
-        g_img[x] = zeta_tgt[supp]
-        union = frozenset().union(*[tgt.sets[j] for j in supp])
-        if g_img[x] not in union:
-            membership_ok = False
-
-    h = PointMap(tgt.space, src.space, h_img)
-    g = PointMap(src.space, tgt.space, g_img)
     mesh = src.mesh()
     disp_h = max(
         float(src.space.dist[psi(y), h(y)]) for y in range(tgt.space.n)
@@ -245,11 +242,6 @@ class Chart:
                     f"chart around {self.center}"
                 )
         return self.domain[best]
-
-
-def strainer_chart(space: FiniteMetricSpace, center: int, pairs, radius: float,
-                   delta: float = 0.1) -> Chart:
-    return Chart(space, center, pairs, radius, delta)
 
 
 @dataclass(frozen=True)
@@ -358,6 +350,29 @@ def _blend_in_chart(chart: Chart, a: int, b: int, weight_b: float) -> int:
     return chart.invert(vec)
 
 
+def _fold_charts(atlas: ChartAtlas, space: FiniteMetricSpace, x: int,
+                 side: str, a: int, b: int, weight_b: float):
+    """Blend a and b at x chart by chart, in atlas order, over the charts
+    whose ball holds x, working in each chart's ``side`` (``"source_chart"``
+    or ``"target_chart"``): each chart's blend is folded into the running
+    value with its cutoff weight against the weight folded so far.  None
+    when no chart ball holds x."""
+    cur = None
+    weight = 0.0
+    for ch in atlas.charts:
+        if not ch.in_ball(space, x):
+            continue
+        chart = getattr(ch, side)
+        val = _blend_in_chart(chart, a, b, weight_b)
+        phi = ch.cutoff(space, x)
+        if cur is None:
+            cur, weight = val, phi
+        else:
+            cur = _blend_in_chart(chart, cur, val, phi / (weight + phi))
+            weight += phi
+    return cur
+
+
 def glue_maps(f: PointMap, g: dict, config: GluingConfig, atlas: ChartAtlas):
     """Glue an almost isometry g on the inner domain into the global map f.
 
@@ -375,38 +390,16 @@ def glue_maps(f: PointMap, g: dict, config: GluingConfig, atlas: ChartAtlas):
     if blend_zone and not atlas.covers(space, blend_zone):
         raise MetricError("charts do not cover the gluing collar")
 
-    def h_single(ch: GluingChart, x: int) -> int:
-        dx = config.d(x)
-        if dx == 0.0:
-            return g[x]
-        if dx == config.mu:
-            return f(x)
-        return _blend_in_chart(ch.target_chart, g[x], f(x), dx / config.mu)
-
     out = np.zeros(space.n, dtype=int)
     for x in range(space.n):
         dx = config.d(x)
         if dx == 0.0:
             out[x] = g[x]
-            continue
-        if dx == config.mu:
+        elif dx == config.mu:
             out[x] = f(x)
-            continue
-        cur = None
-        weight = 0.0
-        for ch in atlas.charts:
-            if not ch.in_ball(space, x):
-                continue
-            hi = h_single(ch, x)
-            phi = ch.cutoff(space, x)
-            if cur is None:
-                cur, weight = hi, phi
-            else:
-                cur = _blend_in_chart(
-                    ch.target_chart, cur, hi, phi / (weight + phi)
-                )
-                weight += phi
-        out[x] = cur
+        else:
+            out[x] = _fold_charts(atlas, space, x, "target_chart",
+                                  g[x], f(x), dx / config.mu)
     glued = PointMap(space, target, out)
     report = {
         "collar_size": len(collar),
@@ -440,27 +433,17 @@ def default_rho(config: GluingConfig):
     return rho
 
 
-def glue_homotopies(F, H, config: GluingConfig, atlas: ChartAtlas,
-                    t_grid, rho=None):
-    """Blend two sampled homotopies on the source space.
+def glue_homotopies(F, H, config: GluingConfig, atlas: ChartAtlas, t_grid):
+    """Blend two sampled homotopies on the source space with the cutoff
+    ``default_rho(config)``.
 
     F(x, k) and H(x, k) give point indices for each grid index k; H need only
     be defined on the 2mu-neighborhood of D.  The output agrees with H on D
     and with F outside the 2mu-neighborhood at every grid time, exactly.
     """
     space = config.space
-    if rho is None:
-        rho = default_rho(config)
+    rho = default_rho(config)
     d1 = config.D1
-
-    def g_single(ch: GluingChart, x: int, k: int, t: float) -> int:
-        r = rho(x, t)
-        if r == 0.0:
-            return H(x, k)
-        if r == 1.0:
-            return F(x, k)
-        return _blend_in_chart(ch.source_chart, H(x, k), F(x, k), r)
-
     out = np.zeros((space.n, len(t_grid)), dtype=int)
     for k, t in enumerate(t_grid):
         for x in range(space.n):
@@ -470,24 +453,12 @@ def glue_homotopies(F, H, config: GluingConfig, atlas: ChartAtlas,
             if x not in d1:
                 out[x, k] = F(x, k)
                 continue
-            cur = None
-            weight = 0.0
-            for ch in atlas.charts:
-                if not ch.in_ball(space, x):
-                    continue
-                gi = g_single(ch, x, k, t)
-                phi = ch.cutoff(space, x)
-                if cur is None:
-                    cur, weight = gi, phi
-                else:
-                    cur = _blend_in_chart(
-                        ch.source_chart, cur, gi, phi / (weight + phi)
-                    )
-                    weight += phi
+            r = rho(x, t)
+            h, f = H(x, k), F(x, k)
+            cur = _fold_charts(atlas, space, x, "source_chart", h, f, r)
             if cur is None:
                 # collar point outside every chart ball: fall back to the blend
                 # without chart transport
-                r = rho(x, t)
-                cur = H(x, k) if r < 0.5 else F(x, k)
+                cur = h if r < 0.5 else f
             out[x, k] = cur
     return out

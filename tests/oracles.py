@@ -1,7 +1,8 @@
 """Straightforward reference implementations of intersection enumeration,
-the downward-closure check, maximal simplices and the partition of unity.
-The tests compare nervekit's bitset cover core and its linear complex checks
-against them."""
+the downward-closure check, maximal simplices, complement distances and the
+per-point cutoff weights of the partition of unity.  The tests compare
+nervekit's bitset cover core, its linear complex checks and
+``PartitionOfUnity`` against them."""
 import itertools
 
 import numpy as np
@@ -95,7 +96,34 @@ def maximal_simplices(simplices):
     return sorted(out)
 
 
-def pou_values(cover, f_weight):
+def complement_distance(cover, j, x):
+    """Distance from x to the complement of set j; diam+1 when the set is
+    the whole space."""
+    comp = [i for i in range(cover.space.n) if i not in cover.sets[j]]
+    if not comp:
+        return cover.space.diameter() + 1.0
+    return float(cover.space.dist[x, comp].min())
+
+
+def boundary_flagged(cover):
+    """Sets whose center touches the complement (zero clearance)."""
+    return [
+        j for j in range(cover.n_sets)
+        if complement_distance(cover, j, cover.centers[j]) == 0.0
+    ]
+
+
+def f_weight(cover, j, x):
+    """Raw cutoff weight |x, U_j^c| / (|x, U_j^c| + |x, p_j|) of set j at
+    point x; zero off U_j."""
+    if x not in cover.sets[j]:
+        return 0.0
+    comp = complement_distance(cover, j, x)
+    center = float(cover.space.dist[x, cover.centers[j]])
+    return comp / (comp + center)
+
+
+def pou_values(cover):
     """Partition of unity from the per-point f_weight loop."""
     raw = np.zeros((cover.space.n, cover.n_sets))
     for j in range(cover.n_sets):

@@ -1,0 +1,32 @@
+"""The public surface: every exported name resolves, and every demo runs."""
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import nervekit
+
+SRC = pathlib.Path(nervekit.__file__).resolve().parent.parent
+DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_all_names_resolve_without_duplicates():
+    assert len(nervekit.__all__) == len(set(nervekit.__all__))
+    for name in nervekit.__all__:
+        assert getattr(nervekit, name, None) is not None, name
+
+
+def test_four_demos_found():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

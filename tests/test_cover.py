@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import octahedral_cover, three_arc_cover
-from nervekit.cover import (Cover, CoverError, build_ball_cover,
+from nervekit.cover import (Cover, CoverError, _clearances, build_ball_cover,
                             goodness_report, greedy_net, intersections)
 from nervekit.samples import circle_space, circle_spacing, line_space
 
@@ -53,17 +54,20 @@ def test_build_ball_cover_rejects_bad_radius():
 
 def test_membership_and_complement_distance():
     cov = three_arc_cover()
+    clearance = _clearances(cov)
     for x in range(cov.space.n):
         mem = cov.membership(x)
         assert mem, f"point {x} uncovered"
         for j in mem:
-            assert cov.complement_distance(j, x) > 0.0 or x != cov.centers[j]
+            assert clearance[x, j] == oracles.complement_distance(cov, j, x)
+            assert clearance[x, j] > 0.0 or x != cov.centers[j]
 
 
 def test_whole_space_set_complement_distance():
     sp = line_space(3)
     cov = Cover(sp, (frozenset({0, 1, 2}),), (1,))
-    assert cov.complement_distance(0, 0) == sp.diameter() + 1.0
+    assert oracles.complement_distance(cov, 0, 0) == sp.diameter() + 1.0
+    assert _clearances(cov)[0, 0] == np.inf
 
 
 def test_three_arc_intersections_orders():

@@ -12,7 +12,7 @@ from nervekit.complex import ComplexError, SimplicialComplex
 from nervekit.cover import Cover, intersections
 from nervekit.metric import FiniteMetricSpace
 from nervekit.nerve import nerve_of
-from nervekit.partition import PartitionOfUnity, f_weight
+from nervekit.partition import PartitionOfUnity
 
 FIXED_COVERS = {
     "three_arc": three_arc_cover,
@@ -83,7 +83,7 @@ def test_fixed_covers_match_oracle(name):
         _check_records(cov, order)
         _check_nerve(cov, order - 1)
     assert np.asarray(PartitionOfUnity(cov).values).tobytes() == \
-        oracles.pou_values(cov, f_weight).tobytes()
+        oracles.pou_values(cov).tobytes()
 
 
 def test_numpy_integer_members_past_bit_63():
@@ -113,6 +113,6 @@ def test_family_missing_a_face_is_rejected(cov, data):
 @given(covers())
 @settings(max_examples=60, deadline=None)
 def test_partition_values_bit_equal_to_f_weight_loop(cov):
-    assume(all(len(cov.sets[j]) == cov.space.n for j in cov.boundary_flagged()))
+    assume(all(len(cov.sets[j]) == cov.space.n for j in oracles.boundary_flagged(cov)))
     got = PartitionOfUnity(cov).values
-    assert got.tobytes() == oracles.pou_values(cov, f_weight).tobytes()
+    assert got.tobytes() == oracles.pou_values(cov).tobytes()

@@ -1,15 +1,16 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nervekit.metric import (ApproximationCertificate, ApproximationViolation,
+from nervekit.metric import (TRIANGLE_BLOCK, ApproximationReport,
                              FiniteMetricSpace, MetricError, PointMap,
-                             check_approximation, check_strainer,
-                             comparison_angle, distance_to_set,
+                             check_approximation,
+                             check_strainer, comparison_angle,
                              gh_distance_bound, gh_distance_exhaustive)
 from nervekit.samples import circle_space, line_space, random_point_space
 
@@ -83,13 +84,6 @@ def test_ball_is_strict():
     assert sp.ball(2, 1.5) == frozenset({1, 2, 3})
 
 
-def test_distance_to_set_and_empty_error():
-    sp = line_space(4)
-    assert distance_to_set(sp, 0, {2, 3}) == 2.0
-    with pytest.raises(MetricError, match="empty set"):
-        distance_to_set(sp, 0, set())
-
-
 def test_json_roundtrip(tmp_path):
     sp = circle_space(8)
     path = tmp_path / "space.json"
@@ -116,6 +110,111 @@ def test_random_euclidean_clouds_validate(n, seed):
     assert sp.n == n
 
 
+# Perturbations of a valid matrix that break exactly one axiom.  Sizes reach
+# past two triangle-check blocks, so a witness in a later block must win.
+
+def _euclidean(data, min_n=2):
+    n = data.draw(st.integers(min_n, 2 * TRIANGLE_BLOCK + 6), label="n")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    return np.array(random_point_space(n, dim=3, seed=seed).dist)
+
+
+def _pair(data, n, distinct=True):
+    i = data.draw(st.integers(0, n - 1), label="i")
+    others = [k for k in range(n) if k != i] if distinct else list(range(n))
+    k = data.draw(st.sampled_from(others), label="k")
+    return min(i, k), max(i, k)
+
+
+def _rejected(d) -> str:
+    with pytest.raises(MetricError) as exc:
+        FiniteMetricSpace(d)
+    return str(exc.value)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_random_euclidean_matrices_validate(data):
+    d = _euclidean(data)
+    assert FiniteMetricSpace(d).n == len(d)
+
+
+@given(st.data(), st.floats(1e-6, 10.0))
+@settings(max_examples=40, deadline=None)
+def test_negative_entry_is_named(data, size):
+    d = _euclidean(data)
+    i, k = _pair(data, len(d), distinct=False)
+    d[i, k] = d[k, i] = -size
+    assert _rejected(d) == f"negative distance at ({i},{k}): {-size}"
+
+
+@given(st.data(), st.floats(1e-6, 10.0))
+@settings(max_examples=40, deadline=None)
+def test_nonzero_diagonal_is_named(data, size):
+    d = _euclidean(data)
+    i = data.draw(st.integers(0, len(d) - 1), label="i")
+    d[i, i] = size
+    assert _rejected(d) == f"nonzero diagonal at {i}: {size}"
+
+
+@given(st.data(), st.floats(1e-6, 10.0))
+@settings(max_examples=40, deadline=None)
+def test_asymmetric_pair_is_named(data, size):
+    d = _euclidean(data)
+    i, k = _pair(data, len(d))
+    d[k, i] += size
+    assert _rejected(d) == f"asymmetric entry at ({i},{k}): {d[i, k]} vs {d[k, i]}"
+
+
+@given(st.data(), st.floats(1e-6, 5.0))
+@settings(max_examples=40, deadline=None)
+def test_triangle_violation_is_named(data, excess):
+    d = _euclidean(data, min_n=3)
+    i, k = _pair(data, len(d))
+    # lengthening the one edge (i,k) past its shortest detour breaks only
+    # the triangles with (i,k) as the long side
+    via = d[i, :] + d[:, k]
+    via[[i, k]] = np.inf
+    j = int(np.argmin(via))
+    d[i, k] = d[k, i] = via[j] + excess
+    assert _rejected(d) == (
+        f"triangle inequality violated for ({i},{j},{k}): "
+        f"{d[i, k]} > {d[i, j]} + {d[j, k]}"
+    )
+
+
+def _unblocked_triangle_message(d) -> str:
+    """The witness of the straightforward n^3 triangle check."""
+    bad = d - np.min(d[:, :, None] + d[None, :, :], axis=1)
+    i, k = np.unravel_index(np.argmax(bad), bad.shape)
+    j = int(np.argmin(d[i, :] + d[:, k]))
+    return (f"triangle inequality violated for ({i},{j},{k}): "
+            f"{d[i, k]} > {d[i, j]} + {d[j, k]}")
+
+
+def test_triangle_witness_spans_blocks():
+    n = 3 * TRIANGLE_BLOCK + 5
+    d = np.array(random_point_space(n, dim=2, seed=4).dist)
+    # a small violation in the first block, the worst one in the last
+    for (i, k), excess in (((1, 7), 0.5), ((n - 9, n - 2), 3.0), ((40, n - 1), 1.0)):
+        d[i, k] = d[k, i] = d[i, k] + 3.0 + excess
+    message = _rejected(d)
+    assert message == _unblocked_triangle_message(d)
+    assert message.startswith(f"triangle inequality violated for ({n - 9},")
+
+
+def test_validation_memory_is_bounded():
+    d = np.array(random_point_space(300, dim=3, seed=0).dist)
+    tracemalloc.start()
+    try:
+        FiniteMetricSpace(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the unblocked check's n^3 temporary alone is 216 MB
+    assert peak < 40 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # approximations and GH distance
 # ---------------------------------------------------------------------------
@@ -125,7 +224,7 @@ def test_identity_is_perfect_approximation():
     sp = circle_space(12)
     pm = PointMap(sp, sp, np.arange(12))
     cert = check_approximation(pm, 1e-6)
-    assert isinstance(cert, ApproximationCertificate)
+    assert isinstance(cert, ApproximationReport) and cert.ok
     assert cert.distortion == 0.0 and cert.defect == 0.0
 
 
@@ -134,9 +233,13 @@ def test_violation_carries_witnesses():
     b = line_space(3, spacing=2.0)
     pm = PointMap(a, b, np.arange(3))
     out = check_approximation(pm, 0.5)
-    assert isinstance(out, ApproximationViolation)
+    assert isinstance(out, ApproximationReport) and not out.ok
     assert out.distortion == 2.0
     assert out.worst_pair == (0, 2)
+    # both conditions are strict
+    assert out.defect == 0.0
+    assert not check_approximation(pm, 2.0).ok
+    assert check_approximation(pm, 2.0 + 1e-9).ok
 
 
 def test_gh_exhaustive_self_distance_zero():

@@ -1,39 +1,43 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import (line_pair_cover, octahedral_cover, three_arc_cover,
                       tree_ball_cover)
 from nervekit.cover import Cover, CoverError
 from nervekit.nerve import nerve_of
-from nervekit.partition import (PartitionOfUnity, estimate_lipschitz, f_weight,
-                                theta)
+from nervekit.partition import PartitionOfUnity, estimate_lipschitz
 from nervekit.samples import line_space
 
 
 def test_f_weight_line_example():
     cov = line_pair_cover()
     # U_0 = {0,1} with center 0: at x=1 both summands are 1
-    assert f_weight(cov, 0, 1) == 0.5
-    assert f_weight(cov, 1, 1) == 0.5
-    assert f_weight(cov, 0, 2) == 0.0
+    assert oracles.f_weight(cov, 0, 1) == 0.5
+    assert oracles.f_weight(cov, 1, 1) == 0.5
+    assert oracles.f_weight(cov, 0, 2) == 0.0
+    # the raw weights at x=1 already sum to one
+    assert PartitionOfUnity(cov).values[1].tolist() == [0.5, 0.5]
 
 
 def test_f_weight_at_interior_center_is_one():
     cov = line_pair_cover()
-    assert f_weight(cov, 1, 2) == 1.0
+    assert oracles.f_weight(cov, 1, 2) == 1.0
+    assert PartitionOfUnity(cov).values[2, 1] == 1.0
 
 
 def test_theta_line_example_weights():
     cov = line_pair_cover()
-    p = theta(cov, 1)
+    p = PartitionOfUnity(cov).theta(1)
     assert p[0] == pytest.approx(0.5)
     assert p[1] == pytest.approx(0.5)
 
 
 def test_theta_single_membership_is_vertex():
     cov = line_pair_cover()
-    assert theta(cov, 0).support == frozenset({0})
-    assert theta(cov, 3).weights == {1: 1.0}
+    pou = PartitionOfUnity(cov)
+    assert pou.theta(0).support == frozenset({0})
+    assert pou.theta(3).weights == {1: 1.0}
 
 
 def test_rows_sum_to_one_and_positivity_iff_membership():
@@ -57,12 +61,12 @@ def test_support_is_nerve_simplex():
 def test_theta_matches_matrix_rows():
     cov = three_arc_cover()
     pou = PartitionOfUnity(cov)
+    expected = oracles.pou_values(cov)
     for x in (0, 5, 21, 42, 63):
         a = pou.theta(x)
-        b = theta(cov, x)
-        assert a.support == b.support
+        assert a.support == frozenset(np.flatnonzero(expected[x]).tolist())
         for j in a.support:
-            assert a[j] == pytest.approx(b[j])
+            assert a[j] == pytest.approx(expected[x, j])
 
 
 def test_boundary_center_rejected():
@@ -73,7 +77,7 @@ def test_boundary_center_rejected():
     sp = FiniteMetricSpace.from_coords([[0.0], [0.0], [1.0], [2.0]])
     cov = Cover(sp, (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})),
                 (0, 1, 3))
-    assert cov.boundary_flagged() == [1]
+    assert oracles.boundary_flagged(cov) == [1]
     with pytest.raises(CoverError, match="interior center"):
         PartitionOfUnity(cov)
 

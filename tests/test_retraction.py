@@ -9,10 +9,10 @@ from nervekit.cone import ConePoint, CylinderPoint, CylinderSpace
 from nervekit.cover import intersections
 from nervekit.metric import MetricError
 from nervekit.partition import PartitionOfUnity
-from nervekit.retraction import (Contraction, CutoffProfile, DEFAULT_PROFILE,
-                                 build_contractions, cone_retraction_phi,
-                                 full_cylinder_retraction, height_blend,
-                                 homotopy_F, homotopy_H, lerp,
+from nervekit.retraction import (Contraction, build_contractions,
+                                 cone_retraction_phi, cutoff_g, cutoff_mu,
+                                 cutoff_nu, full_cylinder_retraction,
+                                 height_blend, homotopy_F, homotopy_H, lerp,
                                  measure_retraction_lipschitz,
                                  radial_projection, simplexwise_retraction)
 
@@ -26,19 +26,18 @@ def test_lerp_exact_endpoints():
 
 
 def test_cutoff_plateaus():
-    prof = CutoffProfile()
     for s in S_GRID:
         if s <= 1 / 3:
-            assert prof.g(1.0, s) == 1.0
+            assert cutoff_g(s) == 1.0
         if s <= 0.5:
-            assert prof.mu(s) == 0.0
+            assert cutoff_mu(s) == 0.0
         if s >= 2 / 3:
-            assert prof.mu(s) == 1.0
+            assert cutoff_mu(s) == 1.0
         if s <= 2 / 3:
-            assert prof.nu(s) == 0.0
+            assert cutoff_nu(s) == 0.0
         if s >= 0.75:
-            assert prof.nu(s) == 1.0
-    assert prof.g(1.0, 1.0) == 0.0
+            assert cutoff_nu(s) == 1.0
+    assert cutoff_g(1.0) == 0.0
 
 
 def _one_contraction(cov, L=7.0):

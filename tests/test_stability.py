@@ -12,8 +12,7 @@ from nervekit.samples import grid_with_strainers, line_space
 from nervekit.stability import (Chart, ChartAtlas, GluingConfig,
                                 LiftedCover, almost_inverse, build_gluing_atlas,
                                 default_rho, glue_homotopies, glue_maps,
-                                homotopy_equivalence_via_nerves, lift_cover,
-                                strainer_chart)
+                                homotopy_equivalence_via_nerves, lift_cover)
 
 
 def _identity_cert(cov, epsilon):
@@ -48,6 +47,17 @@ def test_lift_rejects_coarse_approximation():
         lift_cover(cov, cert)
 
 
+def test_lift_rejects_failed_approximation():
+    # a 1% stretch of the circle: distortion 0.02 against epsilon 0.001
+    cov = three_arc_cover(64)
+    tgt = FiniteMetricSpace(cov.space.dist * 1.01)
+    report = check_approximation(PointMap(cov.space, tgt, np.arange(64)), 0.001)
+    assert not report.ok
+    with pytest.raises(MetricError, match=r"not an 0\.001-approximation: "
+                       r"distortion 0\.02\d*, defect 0\.0;"):
+        lift_cover(cov, report)
+
+
 def test_lift_perturbed_relabeled_circle():
     n = 64
     cov = three_arc_cover(n)
@@ -75,7 +85,7 @@ def test_lift_error_names_offending_simplex():
     moved = [[0.0], [1.0], [2.0], [2.6], [4.0], [5.0]]
     tgt = FiniteMetricSpace.from_coords(moved)
     cert = check_approximation(PointMap(src, tgt, np.arange(6)), 0.45)
-    assert not hasattr(cert, "worst_pair")
+    assert cert.ok
     with pytest.raises(MetricError, match="simplex"):
         lift_cover(cov, cert)
 
@@ -143,7 +153,7 @@ def _patch():
 
 def test_strainer_chart_roundtrip():
     space, pairs = _patch()
-    chart = strainer_chart(space, 40, pairs, radius=4.0, delta=0.1)
+    chart = Chart(space, 40, pairs, radius=4.0, delta=0.1)
     for x in chart.domain:
         assert chart.invert(chart.coord(x)) == x
     assert chart.distortion < 0.2
@@ -153,12 +163,12 @@ def test_chart_rejects_weak_strainer():
     space, pairs = _patch()
     bad = [(0, 1), pairs[1]]  # two adjacent grid corners are no strainer
     with pytest.raises(MetricError, match="strainer"):
-        strainer_chart(space, 40, bad, radius=3.0, delta=0.1)
+        Chart(space, 40, bad, radius=3.0, delta=0.1)
 
 
 def test_chart_outside_domain_error():
     space, pairs = _patch()
-    chart = strainer_chart(space, 40, pairs, radius=2.0, delta=0.1)
+    chart = Chart(space, 40, pairs, radius=2.0, delta=0.1)
     far = space.n - 1
     with pytest.raises(MetricError, match="outside chart"):
         chart.coord(far)
