@@ -316,20 +316,35 @@ def _proxy_scale(space: FiniteMetricSpace, members) -> float:
 
 
 def goodness_report(cover: Cover, max_order: int = 8) -> GoodnessReport:
-    """Star-shapedness plus proxy Betti numbers for each intersection."""
+    """Star-shapedness plus proxy Betti numbers for each intersection.
+
+    Distinct index sets often meet in the same members.  The proxy scale and
+    Betti numbers depend only on the members, and star-shapedness also on
+    the center, so each is computed once per distinct key.
+    """
     from .homology import betti, vr_complex
 
+    proxies = {}  # members -> (proxy scale, Betti ranks)
+    stars = {}  # (members, center) -> star-shaped
     entries = []
     for rec in intersections(cover, max_order):
-        idx = sorted(rec.members)
-        scale = _proxy_scale(cover.space, rec.members)
-        sub = FiniteMetricSpace(cover.space.dist[np.ix_(idx, idx)])
-        ranks = betti(vr_complex(sub, scale, max_dim=3), max_dim=2).ranks
+        proxy = proxies.get(rec.members)
+        if proxy is None:
+            idx = sorted(rec.members)
+            scale = _proxy_scale(cover.space, rec.members)
+            sub = FiniteMetricSpace(cover.space.dist[np.ix_(idx, idx)])
+            ranks = betti(vr_complex(sub, scale, max_dim=3), max_dim=2).ranks
+            proxy = proxies[rec.members] = (scale, ranks)
+        scale, ranks = proxy
+        key = (rec.members, rec.center)
+        star = stars.get(key)
+        if star is None:
+            star = stars[key] = _star_shaped(cover.space, rec.members, rec.center)
         trivial = ranks[0] == 1 and all(r == 0 for r in ranks[1:])
         entries.append(
             GoodnessEntry(
                 indices=tuple(sorted(rec.indices)),
-                star_shaped=_star_shaped(cover.space, rec.members, rec.center),
+                star_shaped=star,
                 betti=ranks,
                 proxy_scale=scale,
                 contractible_proxy=trivial,

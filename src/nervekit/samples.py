@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
 import numpy as np
 
 from .metric import FiniteMetricSpace
@@ -53,18 +52,29 @@ def octahedron_space(extra: int = 0) -> FiniteMetricSpace:
 
 
 def tree_space(n: int, seed: int = 0) -> FiniteMetricSpace:
-    """Shortest-path metric of a random tree with seeded edge weights."""
+    """Shortest-path metric of a random tree with seeded edge weights.
+
+    Row i holds the distances from source i, each found by a walk out from
+    i that adds an edge's weight to the distance of the vertex it came from,
+    the addition order of Dijkstra's algorithm on a tree.
+    """
     rng = np.random.default_rng(seed)
-    g = nx.Graph()
-    g.add_node(0)
+    adjacent = [[] for _ in range(n)]
     for v in range(1, n):
         parent = int(rng.integers(0, v))
-        g.add_edge(parent, v, weight=float(rng.uniform(0.5, 1.5)))
+        weight = float(rng.uniform(0.5, 1.5))
+        adjacent[parent].append((v, weight))
+        adjacent[v].append((parent, weight))
     d = np.zeros((n, n))
-    lengths = dict(nx.all_pairs_dijkstra_path_length(g))
-    for i in range(n):
-        for j, val in lengths[i].items():
-            d[i, j] = val
+    for source in range(n):
+        row = d[source]
+        stack = [(source, -1)]
+        while stack:
+            u, came_from = stack.pop()
+            for v, weight in adjacent[u]:
+                if v != came_from:
+                    row[v] = row[u] + weight
+                    stack.append((v, u))
     return FiniteMetricSpace(d)
 
 

@@ -1,14 +1,19 @@
 """Straightforward reference implementations of intersection enumeration,
-the downward-closure check, maximal simplices, complement distances and the
-per-point cutoff weights of the partition of unity.  The tests compare
-nervekit's bitset cover core, its linear complex checks and
-``PartitionOfUnity`` against them."""
+the downward-closure check, maximal simplices, complement distances, the
+per-point cutoff weights of the partition of unity, dense GF(2) homology,
+Vietoris-Rips cliques, the goodness report and tree distances.  The tests
+compare nervekit's bitset cover core, its linear complex checks,
+``PartitionOfUnity``, its sparse homology core, ``goodness_report`` and
+``tree_space`` against them."""
 import itertools
 
 import numpy as np
 
-from nervekit.cover import IntersectionRecord
+from nervekit.cover import (GoodnessEntry, GoodnessReport, IntersectionRecord,
+                            _proxy_scale, _star_shaped)
 from nervekit.complex import ComplexError
+from nervekit.homology import BettiVector, boundary_matrix, vr_complex
+from nervekit.metric import FiniteMetricSpace
 
 
 def chebyshev_center(cover, members):
@@ -130,3 +135,85 @@ def pou_values(cover):
         for x in cover.sets[j]:
             raw[x, j] = f_weight(cover, j, x)
     return raw / raw.sum(axis=1)[:, None]
+
+
+def gf2_rank(mat):
+    """Rank of a 0/1 matrix over GF(2) by dense Gaussian elimination."""
+    m = np.array(mat, dtype=np.uint8) & 1
+    rank = 0
+    rows, cols = m.shape
+    for col in range(cols):
+        pivot = None
+        for r in range(rank, rows):
+            if m[r, col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[[rank, pivot]] = m[[pivot, rank]]
+        hits = np.flatnonzero(m[:, col])
+        hits = hits[hits != rank]
+        m[hits] ^= m[rank]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def betti(K, max_dim=None):
+    """Betti numbers from the dense rank of every boundary matrix."""
+    top = K.dim if max_dim is None else min(max_dim, K.dim)
+    ranks = []
+    rank_in = 0  # rank of the boundary map out of dimension k
+    for k in range(top + 1):
+        n_k = len(K.k_simplices(k))
+        rank_out = gf2_rank(boundary_matrix(K, k + 1)) if k + 1 <= K.dim else 0
+        ranks.append(n_k - rank_in - rank_out)
+        rank_in = rank_out
+    return BettiVector(tuple(ranks), truncation_dim=top)
+
+
+def vr_simplices(space, scale, max_dim):
+    """Every vertex subset of at most max_dim + 1 points whose pairs are all
+    within scale, found by trying all 2^n subsets."""
+    out = set()
+    for bits in range(1, 1 << space.n):
+        s = [v for v in range(space.n) if bits >> v & 1]
+        if len(s) <= max_dim + 1 and all(
+            space.dist[a, b] <= scale for a, b in itertools.combinations(s, 2)
+        ):
+            out.add(frozenset(s))
+    return frozenset(out)
+
+
+def goodness_report(cover, max_order):
+    """The goodness report computed afresh for every record, with dense
+    Betti numbers."""
+    entries = []
+    for rec in intersections(cover, max_order):
+        idx = sorted(rec.members)
+        scale = _proxy_scale(cover.space, rec.members)
+        sub = FiniteMetricSpace(cover.space.dist[np.ix_(idx, idx)])
+        ranks = betti(vr_complex(sub, scale, max_dim=3), max_dim=2).ranks
+        entries.append(GoodnessEntry(
+            indices=tuple(sorted(rec.indices)),
+            star_shaped=_star_shaped(cover.space, rec.members, rec.center),
+            betti=ranks,
+            proxy_scale=scale,
+            contractible_proxy=ranks[0] == 1 and not any(ranks[1:]),
+        ))
+    return GoodnessReport(tuple(entries))
+
+
+def tree_distances(n, seed):
+    """Floyd-Warshall over the random tree that ``tree_space(n, seed)``
+    draws: the same parents and weights from the same generator."""
+    rng = np.random.default_rng(seed)
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for v in range(1, n):
+        parent = int(rng.integers(0, v))
+        d[parent, v] = d[v, parent] = float(rng.uniform(0.5, 1.5))
+    for k in range(n):
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    return d

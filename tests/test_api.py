@@ -22,11 +22,23 @@ def test_four_demos_found():
     assert len(DEMOS) == 4
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
+def _run_python(*args):
+    """Run the interpreter in a subprocess that imports nervekit from this
+    checkout."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], env=dict(os.environ, PYTHONPATH=path),
+    return subprocess.run(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    proc = _run_python(str(demo))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_does_not_load_networkx():
+    proc = _run_python("-c", "import sys, nervekit, nervekit.cli, nervekit.samples; "
+                       "assert 'networkx' not in sys.modules, 'networkx imported'")
     assert proc.returncode == 0, proc.stderr

@@ -1,0 +1,128 @@
+"""The sparse GF(2) homology core, the clique-expansion Vietoris-Rips
+complex, the once-per-member-set goodness report and the tree walk against
+the oracles in ``oracles.py``."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import (line_pair_cover, octahedral_cover, three_arc_cover,
+                      tree_ball_cover)
+from nervekit.complex import SimplicialComplex
+from nervekit.cover import Cover, build_ball_cover, goodness_report
+from nervekit.homology import betti, gf2_rank, vr_complex
+from nervekit.metric import FiniteMetricSpace
+from nervekit.samples import tree_space
+
+
+@st.composite
+def matrices(draw):
+    """Random matrices of small nonnegative integers, most entries 0 or 1,
+    including empty shapes."""
+    rows = draw(st.integers(0, 40))
+    cols = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.0, 1.0))
+    mat = (rng.random((rows, cols)) < density).astype(int)
+    if draw(st.booleans()):
+        mat *= rng.integers(1, 4, size=(rows, cols))
+    return mat
+
+
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_gf2_rank_matches_dense_elimination(mat):
+    assert gf2_rank(mat) == oracles.gf2_rank(mat)
+    assert gf2_rank(mat.T) == gf2_rank(mat)
+
+
+@st.composite
+def complexes(draw):
+    """Closures of up to 8 random simplices of up to 5 vertices on up to 10
+    vertices."""
+    n = draw(st.integers(1, 10))
+    simplex = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(5, n))
+    maximal = draw(st.lists(simplex, min_size=1, max_size=8))
+    return SimplicialComplex.from_maximal(n, maximal)
+
+
+@given(complexes(), st.one_of(st.none(), st.integers(0, 5)))
+@settings(max_examples=150, deadline=None)
+def test_betti_matches_dense_ranks(K, max_dim):
+    got = betti(K, max_dim=max_dim)
+    want = oracles.betti(K, max_dim=max_dim)
+    assert got == want
+    if max_dim is None:
+        assert got.euler_characteristic() == sum(
+            (-1) ** (len(s) - 1) for s in K.simplices)
+
+
+@st.composite
+def point_clouds(draw):
+    """Up to 9 points in the plane, on a random cloud or on a small integer
+    grid whose distances tie with the scale often."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        cells = rng.choice(16, size=n, replace=False)
+        coords = np.stack([cells // 4, cells % 4], axis=1).astype(float)
+    else:
+        coords = rng.uniform(0.0, 3.0, size=(n, 2))
+    return FiniteMetricSpace.from_coords(coords)
+
+
+@given(point_clouds(), st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 5.0]),
+       st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_vr_complex_matches_brute_force(space, scale, max_dim):
+    K = vr_complex(space, scale, max_dim=max_dim)
+    assert K.n_vertices == space.n
+    assert K.simplices == oracles.vr_simplices(space, scale, max_dim)
+
+
+def shared_members_cover():
+    """Set 0 is an L of grid points with its corner (0,0) as center; set 1
+    is the whole space.  Their intersection has the members of set 0 but
+    its own center, the end (2,0), from which the L is not star-shaped: the
+    missing point (1,1) lies between (2,0) and (0,2)."""
+    coords = np.array([[2, 0], [1, 0], [0, 0], [0, 1], [0, 2], [1, 1]], dtype=float)
+    space = FiniteMetricSpace.from_coords(coords)
+    return Cover(space, (frozenset(range(5)), frozenset(range(6))), (2, 5))
+
+
+def test_star_shape_depends_on_the_center():
+    entries = goodness_report(shared_members_cover()).entries
+    assert [(e.indices, e.star_shaped) for e in entries] == [
+        ((0,), True), ((1,), True), ((0, 1), False)]
+    assert entries[0].betti == entries[2].betti
+
+
+@pytest.mark.parametrize("make", [three_arc_cover, octahedral_cover,
+                                  line_pair_cover, tree_ball_cover,
+                                  shared_members_cover],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("max_order", [3, 8])
+def test_goodness_report_matches_uncached_oracle(make, max_order):
+    cov = make()
+    assert (goodness_report(cov, max_order).to_json()
+            == oracles.goodness_report(cov, max_order).to_json())
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.integers(2, 3),
+       st.floats(0.3, 1.5))
+@settings(max_examples=40, deadline=None)
+def test_goodness_report_matches_oracle_on_ball_covers(seed, n, dim, radius):
+    rng = np.random.default_rng(seed)
+    space = FiniteMetricSpace.from_coords(rng.uniform(0.0, 1.0, size=(n, dim)))
+    cov = build_ball_cover(space, radius, seed=seed)
+    assert (goodness_report(cov, 4).to_json()
+            == oracles.goodness_report(cov, 4).to_json())
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tree_space_matches_floyd_warshall(n, seed):
+    got = tree_space(n, seed=seed).dist
+    want = oracles.tree_distances(n, seed)
+    assert np.abs(got - want).max() <= 1e-12

@@ -258,21 +258,26 @@ def test_default_rho_plateaus():
             assert rho(x, 0.75) == 0.0
 
 
-def test_glue_homotopies_plateaus():
-    space, pairs, config, g, f, atlas = _glue_setup()
-    n = space.n
-    t_grid = [k / 4 for k in range(5)]
+def _drifting_homotopies():
+    """F stays put; the inner homotopy H drifts east at late times."""
+    m = 9
 
     def F(x, k):
         return x
 
     def H(x, k):
-        # the inner homotopy drifts east at late times
-        m = 9
         if k >= 2 and x < m * m and x % m < m - 1:
             return x + 1
         return x
 
+    return F, H
+
+
+def test_glue_homotopies_plateaus():
+    space, pairs, config, g, f, atlas = _glue_setup()
+    n = space.n
+    t_grid = [k / 4 for k in range(5)]
+    F, H = _drifting_homotopies()
     G = glue_homotopies(F, H, config, atlas, t_grid)
     for k in range(5):
         for x in config.D:
@@ -280,3 +285,21 @@ def test_glue_homotopies_plateaus():
         for x in range(n):
             if x not in config.D1:
                 assert G[x, k] == F(x, k)
+
+
+def test_glue_homotopies_blend_in_source_charts():
+    # the homotopies move source points, so a target that is a scaled copy
+    # of the source grid, with smaller target charts, changes nothing
+    space, pairs, config, g, f, atlas = _glue_setup()
+    blend = [x for x in range(space.n) if 0.0 < config.d(x) < config.mu]
+    scaled = FiniteMetricSpace(1.5 * space.dist)
+    scaled_atlas = build_gluing_atlas(space, scaled, blend, 3.0, pairs, pairs, g,
+                                      delta=0.3)
+    for same, other in zip(atlas.charts, scaled_atlas.charts):
+        assert same.source_chart.domain == other.source_chart.domain
+        assert len(other.target_chart.domain) < len(same.target_chart.domain)
+    t_grid = [k / 4 for k in range(5)]
+    F, H = _drifting_homotopies()
+    G = glue_homotopies(F, H, config, scaled_atlas, t_grid)
+    assert np.array_equal(G, glue_homotopies(F, H, config, atlas, t_grid))
+    assert any(G[x, 4] != x for x in config.collar - config.D)
