@@ -297,13 +297,9 @@ def _star_shaped(space: FiniteMetricSpace, members: frozenset, center: int) -> b
     """Every sample point metrically between a member and the center must be a
     member itself."""
     idx = sorted(members)
-    for x in idx:
-        via = space.dist[x, :] + space.dist[:, center]
-        direct = space.dist[x, center]
-        for y in np.flatnonzero(via <= direct + BETWEEN_TOL):
-            if int(y) not in members:
-                return False
-    return True
+    d = space.dist
+    between = d[idx, :] + d[:, center] <= (d[idx, center] + BETWEEN_TOL)[:, None]
+    return set(np.flatnonzero(between.any(axis=0)).tolist()) <= members
 
 
 def _proxy_scale(space: FiniteMetricSpace, members) -> float:

@@ -224,17 +224,18 @@ def _greedy_map(X: FiniteMetricSpace, Y: FiniteMetricSpace, ax: int, ay: int) ->
     each new assignment minimizes the worst distance discrepancy against the
     points already placed."""
     order = np.argsort(X.dist[ax], kind="stable")
+    dxo = X.dist[np.ix_(order, order)]
+    # row k: dY[f(order[k])] once placed, equal to its column (dY is symmetric)
+    rows = np.empty((X.n, Y.n))
     image = np.full(X.n, -1, dtype=int)
-    placed = []
-    for x in order:
-        if not placed:
+    for k, x in enumerate(order):
+        if k == 0:
             image[x] = ay
         else:
-            ps = np.array(placed)
-            # cost of sending x to y: worst |dY[y, f(p)] - dX[x, p]|
-            cost = np.abs(Y.dist[:, image[ps]] - X.dist[x, ps][None, :]).max(axis=1)
+            # cost of sending x to y: worst |dY[f(p), y] - dX[x, p]|
+            cost = np.abs(rows[:k] - dxo[k, :k, None]).max(axis=0)
             image[x] = int(np.argmin(cost))
-        placed.append(x)
+        rows[k] = Y.dist[image[x]]
     return image
 
 

@@ -87,7 +87,8 @@ class Contraction:
             cur = x
             while cur != center:
                 here = d[cur, center]
-                cands = [y for y in ordered if d[y, center] < here]
+                # nothing is strictly closer when cur sits at distance 0
+                cands = [y for y in ordered if d[y, center] < here] or [center]
                 cur = min(cands, key=lambda y: (d[cur, y], y))
                 path.append(cur)
             self.paths[x] = path
@@ -253,14 +254,24 @@ def simplexwise_retraction(sigma, contraction: Contraction, x: BarycentricPoint,
     Returns the pair (simplex point, cone point).  The base slice and the
     cone over the simplex boundary are fixed pointwise at every s.
     """
-    sigma = tuple(sorted(sigma))
+    return _simplexwise_points(sigma, contraction, x, p, (s,), L)[0]
+
+
+def _simplexwise_points(sigma, contraction, x, p, s_grid, L) -> list:
+    """The pairs of ``simplexwise_retraction`` at each s of ``s_grid``.
+
+    The radial projection and the height blend depend only on (sigma, x, t),
+    so they are computed once for the whole grid.
+    """
     t = p.t
     psi0, u = radial_projection(sigma, x, t, L)
     w = height_blend(sigma, x, t, L, u=u)
-    new_x = combine(x, psi0, s)
-    mu_s = cutoff_mu(s)
-    base = contraction(p.base, 0.0 if mu_s == 0.0 else mu_s * (t - u))
-    return new_x, ConePoint(base, lerp(t, w, cutoff_nu(s)))
+    out = []
+    for s in s_grid:
+        mu_s = cutoff_mu(s)
+        base = contraction(p.base, 0.0 if mu_s == 0.0 else mu_s * (t - u))
+        out.append((combine(x, psi0, s), ConePoint(base, lerp(t, w, cutoff_nu(s)))))
+    return out
 
 
 @dataclass(frozen=True)
@@ -319,9 +330,10 @@ def full_cylinder_retraction(cyl: CylinderSpace, contractions: dict,
     membership_ok = True
     cur = point
     guard = 0
+    max_stages = cyl.nerve.dim + 2
     while cur.cone.t != 0.0:
         guard += 1
-        if guard > cyl.nerve.dim + 2:
+        if guard > max_stages:
             raise MetricError("cylinder retraction failed to terminate")
         supp = frozenset(cur.theta.support)
         if supp not in contractions:
@@ -330,17 +342,13 @@ def full_cylinder_retraction(cyl: CylinderSpace, contractions: dict,
             )
         con = contractions[supp]
         sigma = tuple(sorted(supp))
-        pts = []
-        for s in grid:
-            if len(sigma) == 1:
-                q = CylinderPoint(cur.theta, cone_retraction_phi(con, cur.cone, s))
-            else:
-                nx_, nc = simplexwise_retraction(sigma, con, cur.theta, cur.cone,
-                                                 s, cyl.L)
-                q = CylinderPoint(nx_, nc)
-            if not cyl.check_membership(q):
-                membership_ok = False
-            pts.append(q)
+        if len(sigma) == 1:
+            pts = [CylinderPoint(cur.theta, cone_retraction_phi(con, cur.cone, s))
+                   for s in grid]
+        else:
+            pts = [CylinderPoint(nx_, nc) for nx_, nc in _simplexwise_points(
+                sigma, con, cur.theta, cur.cone, grid, cyl.L)]
+        membership_ok &= all(cyl.check_membership(q) for q in pts)
         stages.append(TraceStage(sigma, grid, tuple(pts)))
         cur = pts[-1]
     return DeformationTrace(point, tuple(stages), membership_ok)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nervekit import Cover
+from nervekit.metric import FiniteMetricSpace
 from nervekit.samples import (circle_space, line_space, octahedron_space,
                               sphere_space, tree_space)
 
@@ -48,6 +49,16 @@ def tree_ball_cover(n=24, seed=5, radius=2.0):
     from nervekit import build_ball_cover
 
     return build_ball_cover(tree_space(n, seed=seed), radius, seed=seed)
+
+
+def shared_members_cover():
+    """Set 0 is an L of grid points with its corner (0,0) as center; set 1
+    is the whole space.  Their intersection has the members of set 0 but
+    its own center, the end (2,0), from which the L is not star-shaped: the
+    missing point (1,1) lies between (2,0) and (0,2)."""
+    coords = np.array([[2, 0], [1, 0], [0, 0], [0, 1], [0, 2], [1, 1]], dtype=float)
+    space = FiniteMetricSpace.from_coords(coords)
+    return Cover(space, (frozenset(range(5)), frozenset(range(6))), (2, 5))
 
 
 @pytest.fixture

@@ -1,19 +1,26 @@
 """Straightforward reference implementations of intersection enumeration,
 the downward-closure check, maximal simplices, complement distances, the
 per-point cutoff weights of the partition of unity, dense GF(2) homology,
-Vietoris-Rips cliques, the goodness report and tree distances.  The tests
-compare nervekit's bitset cover core, its linear complex checks,
-``PartitionOfUnity``, its sparse homology core, ``goodness_report`` and
-``tree_space`` against them."""
+Vietoris-Rips cliques, star-shapedness, the goodness report, tree
+distances, the cylinder retraction replayed once per grid value and the
+gather-based greedy Gromov-Hausdorff matching.  The tests compare nervekit's
+bitset cover core, its linear complex checks, ``PartitionOfUnity``, its
+sparse homology core, ``goodness_report``, ``tree_space``,
+``full_cylinder_retraction`` and ``gh_distance_bound`` against them."""
 import itertools
+import math
 
 import numpy as np
 
-from nervekit.cover import (GoodnessEntry, GoodnessReport, IntersectionRecord,
-                            _proxy_scale, _star_shaped)
-from nervekit.complex import ComplexError
+from nervekit.cone import ConePoint, CylinderPoint
+from nervekit.complex import ComplexError, combine
+from nervekit.cover import (BETWEEN_TOL, GoodnessEntry, GoodnessReport,
+                            IntersectionRecord, _proxy_scale)
 from nervekit.homology import BettiVector, boundary_matrix, vr_complex
-from nervekit.metric import FiniteMetricSpace
+from nervekit.metric import FiniteMetricSpace, MetricError, _map_epsilon
+from nervekit.retraction import (DeformationTrace, TraceStage,
+                                 cone_retraction_phi, cutoff_mu, cutoff_nu,
+                                 height_blend, lerp, radial_projection)
 
 
 def chebyshev_center(cover, members):
@@ -186,6 +193,18 @@ def vr_simplices(space, scale, max_dim):
     return frozenset(out)
 
 
+def star_shaped(space, members, center):
+    """Per-member loop: every point metrically between a member and the
+    center must be a member."""
+    for x in sorted(members):
+        via = space.dist[x, :] + space.dist[:, center]
+        direct = space.dist[x, center]
+        for y in np.flatnonzero(via <= direct + BETWEEN_TOL):
+            if int(y) not in members:
+                return False
+    return True
+
+
 def goodness_report(cover, max_order):
     """The goodness report computed afresh for every record, with dense
     Betti numbers."""
@@ -197,7 +216,7 @@ def goodness_report(cover, max_order):
         ranks = betti(vr_complex(sub, scale, max_dim=3), max_dim=2).ranks
         entries.append(GoodnessEntry(
             indices=tuple(sorted(rec.indices)),
-            star_shaped=_star_shaped(cover.space, rec.members, rec.center),
+            star_shaped=star_shaped(cover.space, rec.members, rec.center),
             betti=ranks,
             proxy_scale=scale,
             contractible_proxy=ranks[0] == 1 and not any(ranks[1:]),
@@ -217,3 +236,88 @@ def tree_distances(n, seed):
     for k in range(n):
         d = np.minimum(d, d[:, k, None] + d[None, k, :])
     return d
+
+
+def simplexwise_retraction(sigma, contraction, x, p, s, L):
+    """One value of s of the simplex-wise retraction, with the radial
+    projection and the height blend computed afresh."""
+    sigma = tuple(sorted(sigma))
+    t = p.t
+    psi0, u = radial_projection(sigma, x, t, L)
+    w = height_blend(sigma, x, t, L, u=u)
+    new_x = combine(x, psi0, s)
+    mu_s = cutoff_mu(s)
+    base = contraction(p.base, 0.0 if mu_s == 0.0 else mu_s * (t - u))
+    return new_x, ConePoint(base, lerp(t, w, cutoff_nu(s)))
+
+
+def full_cylinder_retraction(cyl, contractions, point, n_steps=16):
+    """The composite cylinder retraction replayed point by point: every
+    value of the s grid runs the whole simplex-wise step again."""
+    cyl.require(point)
+    grid = tuple(i / n_steps for i in range(n_steps + 1))
+    stages = []
+    membership_ok = True
+    cur = point
+    guard = 0
+    while cur.cone.t != 0.0:
+        guard += 1
+        if guard > cyl.nerve.dim + 2:
+            raise MetricError("cylinder retraction failed to terminate")
+        supp = frozenset(cur.theta.support)
+        if supp not in contractions:
+            raise MetricError(
+                f"missing contraction data for simplex {sorted(supp)}"
+            )
+        con = contractions[supp]
+        sigma = tuple(sorted(supp))
+        pts = []
+        for s in grid:
+            if len(sigma) == 1:
+                q = CylinderPoint(cur.theta, cone_retraction_phi(con, cur.cone, s))
+            else:
+                nx_, nc = simplexwise_retraction(sigma, con, cur.theta, cur.cone,
+                                                 s, cyl.L)
+                q = CylinderPoint(nx_, nc)
+            if not cyl.check_membership(q):
+                membership_ok = False
+            pts.append(q)
+        stages.append(TraceStage(sigma, grid, tuple(pts)))
+        cur = pts[-1]
+    return DeformationTrace(point, tuple(stages), membership_ok)
+
+
+def greedy_map(X, Y, ax, ay):
+    """Anchored greedy matching that gathers the columns of the placed
+    points' images from Y's matrix at every step."""
+    order = np.argsort(X.dist[ax], kind="stable")
+    image = np.full(X.n, -1, dtype=int)
+    placed = []
+    for x in order:
+        if not placed:
+            image[x] = ay
+        else:
+            ps = np.array(placed)
+            cost = np.abs(Y.dist[:, image[ps]] - X.dist[x, ps][None, :]).max(axis=1)
+            image[x] = int(np.argmin(cost))
+        placed.append(x)
+    return image
+
+
+def gh_distance_bound(X, Y, trials=16, seed=0):
+    """The seeded GH bracket built on ``greedy_map``."""
+    lower = abs(X.diameter() - Y.diameter()) / 2.0
+    upper = math.inf
+    if X.n == Y.n:
+        ident = np.arange(X.n)
+        upper = max(_map_epsilon(X, Y, ident), _map_epsilon(Y, X, ident))
+    rng = np.random.default_rng(seed)
+    anchors = list(itertools.product(range(X.n), range(Y.n)))
+    rng.shuffle(anchors)
+    for ax, ay in anchors[:trials]:
+        eps = max(
+            _map_epsilon(X, Y, greedy_map(X, Y, ax, ay)),
+            _map_epsilon(Y, X, greedy_map(Y, X, ay, ax)),
+        )
+        upper = min(upper, eps)
+    return lower, float(upper)

@@ -6,10 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (line_pair_cover, octahedral_cover, three_arc_cover,
-                      tree_ball_cover)
+from conftest import (line_pair_cover, octahedral_cover, shared_members_cover,
+                      three_arc_cover, tree_ball_cover)
 from nervekit.complex import ComplexError, SimplicialComplex
-from nervekit.cover import Cover, intersections
+from nervekit.cover import Cover, _star_shaped, intersections
 from nervekit.metric import FiniteMetricSpace
 from nervekit.nerve import nerve_of
 from nervekit.partition import PartitionOfUnity
@@ -116,3 +116,26 @@ def test_partition_values_bit_equal_to_f_weight_loop(cov):
     assume(all(len(cov.sets[j]) == cov.space.n for j in oracles.boundary_flagged(cov)))
     got = PartitionOfUnity(cov).values
     assert got.tobytes() == oracles.pou_values(cov).tobytes()
+
+
+def _check_star_shapes(cov, max_order):
+    """Every intersection of at most max_order sets, from each of its
+    members as the center."""
+    for rec in intersections(cov, max_order):
+        for center in sorted(rec.members):
+            assert (_star_shaped(cov.space, rec.members, center)
+                    == oracles.star_shaped(cov.space, rec.members, center))
+
+
+@given(covers())
+@settings(max_examples=60, deadline=None)
+def test_star_shaped_matches_member_loop(cov):
+    _check_star_shapes(cov, 3)
+
+
+STAR_COVERS = dict(FIXED_COVERS, shared_members=shared_members_cover)
+
+
+@pytest.mark.parametrize("name", sorted(STAR_COVERS))
+def test_star_shaped_matches_member_loop_on_fixed_covers(name):
+    _check_star_shapes(STAR_COVERS[name](), 3)

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (line_pair_cover, octahedral_cover, three_arc_cover,
-                      tree_ball_cover)
+from conftest import (line_pair_cover, octahedral_cover, shared_members_cover,
+                      three_arc_cover, tree_ball_cover)
 from nervekit.complex import SimplicialComplex
-from nervekit.cover import Cover, build_ball_cover, goodness_report
+from nervekit.cover import build_ball_cover, goodness_report
 from nervekit.homology import betti, gf2_rank, vr_complex
 from nervekit.metric import FiniteMetricSpace
 from nervekit.samples import tree_space
@@ -79,16 +79,6 @@ def test_vr_complex_matches_brute_force(space, scale, max_dim):
     K = vr_complex(space, scale, max_dim=max_dim)
     assert K.n_vertices == space.n
     assert K.simplices == oracles.vr_simplices(space, scale, max_dim)
-
-
-def shared_members_cover():
-    """Set 0 is an L of grid points with its corner (0,0) as center; set 1
-    is the whole space.  Their intersection has the members of set 0 but
-    its own center, the end (2,0), from which the L is not star-shaped: the
-    missing point (1,1) lies between (2,0) and (0,2)."""
-    coords = np.array([[2, 0], [1, 0], [0, 0], [0, 1], [0, 2], [1, 1]], dtype=float)
-    space = FiniteMetricSpace.from_coords(coords)
-    return Cover(space, (frozenset(range(5)), frozenset(range(6))), (2, 5))
 
 
 def test_star_shape_depends_on_the_center():

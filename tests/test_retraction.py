@@ -7,7 +7,7 @@ from conftest import three_arc_cover
 from nervekit.complex import BarycentricPoint
 from nervekit.cone import ConePoint, CylinderPoint, CylinderSpace
 from nervekit.cover import intersections
-from nervekit.metric import MetricError
+from nervekit.metric import FiniteMetricSpace, MetricError
 from nervekit.partition import PartitionOfUnity
 from nervekit.retraction import (Contraction, build_contractions,
                                  cone_retraction_phi, cutoff_g, cutoff_mu,
@@ -71,6 +71,14 @@ def test_contraction_outside_domain():
     outside = next(x for x in range(cov.space.n) if x not in rec.members)
     with pytest.raises(MetricError, match="outside"):
         con(outside, 1.0)
+
+
+def test_contraction_steps_to_center_from_distance_zero():
+    # point 1 coincides with the center 0, so no member is strictly closer
+    space = FiniteMetricSpace([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    con = Contraction(space, frozenset({0, 1, 2}), 0, 7.0)
+    assert con.paths == {0: [0], 1: [1, 0], 2: [2, 0]}
+    assert con(1, 0.0) == 1 and con(1, 3.0) == 0 and con(1, 3.5) == 0
 
 
 def test_homotopy_H_endpoints_exact():
