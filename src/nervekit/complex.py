@@ -5,9 +5,10 @@ sup-norm between weight vectors as its distance.
 """
 from __future__ import annotations
 
-import itertools
 import json
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 WEIGHT_DROP = 1e-15
 WEIGHT_SUM_TOL = 1e-12
@@ -17,9 +18,48 @@ class ComplexError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+def _mask(s) -> int:
+    """Vertex bitset of the simplex s, whose vertices are nonnegative Python
+    or numpy integers."""
+    mask = 0
+    try:
+        for v in s:
+            mask |= 1 << operator.index(v)
+    except (TypeError, ValueError):  # not an integer, or a negative shift
+        try:
+            vertices = sorted({operator.index(v) for v in s})
+        except TypeError:
+            raise ComplexError(f"non-integer vertex in simplex {list(s)}") from None
+        raise ComplexError(f"vertex out of range in {vertices}") from None
+    return mask
+
+
+def _bits(mask: int):
+    """The one-bit masks of a bitset, lowest first."""
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
+
+
+def _vertices(mask: int) -> tuple:
+    return tuple(bit.bit_length() - 1 for bit in _bits(mask))
+
+
+def _by_dimension(masks) -> list:
+    """Nonempty vertex bitsets as one set per dimension."""
+    top = max(map(int.bit_count, masks), default=0)
+    return [{mask for mask in masks if mask.bit_count() == size}
+            for size in range(1, top + 1)]
+
+
+@dataclass(frozen=True, init=False)
 class SimplicialComplex:
     """Downward-closed family of vertex index sets.
+
+    A simplex is stored as a Python-int vertex bitset, bit v set for vertex
+    v, and ``_levels[k]`` holds the k-simplices in numeric order.  The
+    frozenset-of-frozensets ``simplices`` is built from them on first read.
 
     Construction checks only the codimension-1 faces s - {v} of each simplex
     s.  That is enough for full downward closure, by induction on the size of
@@ -29,68 +69,77 @@ class SimplicialComplex:
     """
 
     n_vertices: int
-    simplices: frozenset
+    _levels: tuple
 
-    def __post_init__(self):
-        sims = frozenset(frozenset(s) for s in self.simplices)
-        for s in sims:
-            if not s:
-                raise ComplexError("empty simplex not allowed")
-            if min(s) < 0 or max(s) >= self.n_vertices:
-                raise ComplexError(f"vertex out of range in {sorted(s)}")
-            if len(s) > 1 and any(s - {v} not in sims for v in s):
-                raise ComplexError("complex is not downward closed")
-        object.__setattr__(self, "simplices", sims)
+    def __init__(self, n_vertices: int, simplices):
+        masks = set(map(_mask, simplices))
+        if 0 in masks:
+            raise ComplexError("empty simplex not allowed")
+        self._init(n_vertices, _by_dimension(masks))
+
+    @classmethod
+    def _from_levels(cls, n_vertices: int, levels) -> "SimplicialComplex":
+        """The complex whose k-simplices are the vertex bitsets levels[k]."""
+        return cls.__new__(cls)._init(n_vertices, levels)
+
+    def _init(self, n_vertices, levels):
+        object.__setattr__(self, "n_vertices", n_vertices)
+        object.__setattr__(self, "_levels", tuple(map(tuple, map(sorted, levels))))
+        self.__post_init__()
+        return self
+
+    def __post_init__(self):  # range and closure check; perfbench traces this name
+        masks = frozenset().union(*self._levels)
+        if max(masks, default=0).bit_length() > self.n_vertices:
+            raise ComplexError(f"vertex out of range in {list(_vertices(max(masks)))}")
+        faces = {mask ^ bit for level in self._levels[1:]
+                 for mask in level for bit in _bits(mask)}
+        if not faces <= masks:
+            raise ComplexError("complex is not downward closed")
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_faces", faces)
 
     @classmethod
     def from_maximal(cls, n_vertices: int, maximal) -> "SimplicialComplex":
-        """Close the given simplices under taking faces."""
-        sims = set()
-        for s in maximal:
-            s = tuple(sorted(set(s)))
-            for k in range(1, len(s) + 1):
-                for face in itertools.combinations(s, k):
-                    sims.add(frozenset(face))
-        return cls(n_vertices, frozenset(sims))
+        """Close the given simplices under taking faces, level by level from
+        the top; empty ones add nothing."""
+        levels = _by_dimension(set(map(_mask, maximal)) - {0})
+        for k in range(len(levels) - 1, 0, -1):
+            levels[k - 1].update(mask ^ bit for mask in levels[k] for bit in _bits(mask))
+        return cls._from_levels(n_vertices, levels)
+
+    @cached_property
+    def simplices(self) -> frozenset:
+        """The simplices as a frozenset of vertex frozensets."""
+        return frozenset(frozenset(_vertices(mask)) for mask in self._masks)
 
     @property
     def dim(self) -> int:
-        return max(len(s) for s in self.simplices) - 1
+        """Largest simplex dimension; -1 for the empty complex."""
+        return len(self._levels) - 1
 
     @property
     def vertices(self) -> frozenset:
-        return frozenset(v for s in self.simplices for v in s)
+        # the 0-simplices are distinct single bits, so their sum is their union
+        return frozenset(_vertices(sum(self._levels[0]) if self._levels else 0))
 
     def contains(self, s) -> bool:
-        return frozenset(s) in self.simplices
-
-    def k_simplices(self, k: int):
-        """Sorted list of k-dimensional simplices as sorted tuples."""
-        out = [tuple(sorted(s)) for s in self.simplices if len(s) == k + 1]
-        return sorted(out)
+        try:
+            return _mask(s) in self._masks
+        except ComplexError:
+            return False
 
     def maximal_simplices(self):
-        """Sorted simplices that are no proper face of another.  By downward
-        closure, a simplex with a proper coface is a codimension-1 face of
-        some simplex, so marking those faces finds all non-maximal ones."""
-        faces = {s - {v} for s in self.simplices if len(s) > 1 for v in s}
-        return sorted(tuple(sorted(s)) for s in self.simplices if s not in faces)
+        """Simplices that are no proper face of another, as sorted vertex
+        tuples in lexicographic order.  By downward closure, a simplex with a
+        proper coface is a codimension-1 face of some simplex, so the faces
+        marked by the closure check are exactly the non-maximal ones."""
+        return sorted(_vertices(mask) for mask in self._masks - self._faces)
 
     def skeleton(self, k: int) -> "SimplicialComplex":
         if k < 0:
             raise ComplexError("skeleton dimension must be >= 0")
-        return SimplicialComplex(
-            self.n_vertices,
-            frozenset(s for s in self.simplices if len(s) <= k + 1),
-        )
-
-    def star(self, sigma) -> "SimplicialComplex":
-        """Closed star: all cofaces of sigma together with their faces."""
-        sigma = frozenset(sigma)
-        if sigma not in self.simplices:
-            raise ComplexError(f"{sorted(sigma)} is not a simplex of the complex")
-        cofaces = [s for s in self.simplices if sigma <= s]
-        return SimplicialComplex.from_maximal(self.n_vertices, cofaces)
+        return SimplicialComplex._from_levels(self.n_vertices, self._levels[:k + 1])
 
     def relabel(self, perm) -> "SimplicialComplex":
         """Apply the vertex permutation perm (old index -> new index)."""

@@ -3,7 +3,6 @@ intersection enumeration and the heuristic goodness report.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -155,29 +154,22 @@ class IntersectionRecord:
     center: int
 
 
-def _index_sets(cover: Cover, max_order: int):
-    """Yield (indices, bitmask) for every nonempty intersection of at most
-    max_order sets: indices is the sorted tuple of set indices, bitmask the
-    member bitset.
-
-    Order contract: level by level (by number of sets), lexicographic within
-    a level.  Each level extends the previous one by appending a larger
-    index, so every index set is reached exactly once, from its prefix.
+def _index_levels(cover: Cover, max_order: int):
+    """Yield, for orders 1, 2, ... up to max_order, the list of (indices,
+    index bitset, member bitset) of the nonempty intersections of that many
+    sets, lexicographic by the sorted index tuple; stop at the first empty
+    order.  Each level extends the previous one by appending a larger index,
+    so every index set is reached exactly once, from its prefix.
     """
     masks = cover._masks
-    m = len(masks)
-    frontier = [((j,), mask) for j, mask in enumerate(masks)]
-    for _ in range(max_order):
-        yield from frontier
-        nxt = []
-        for idx, mask in frontier:
-            for j in range(idx[-1] + 1, m):
-                meet = mask & masks[j]
-                if meet:
-                    nxt.append((idx + (j,), meet))
-        if not nxt:
-            break
-        frontier = nxt
+    level = [((j,), 1 << j, mask) for j, mask in enumerate(masks)]
+    for _ in range(max_order - 1):
+        yield level
+        level = [(idx + (j,), bits | 1 << j, meet) for idx, bits, mask in level
+                 for j in range(idx[-1] + 1, len(masks)) if (meet := mask & masks[j])]
+        if not level:
+            return
+    yield level
 
 
 def _clearances(cover: Cover) -> np.ndarray:
@@ -213,10 +205,8 @@ def intersections(cover: Cover, max_order: int):
     nbytes = (n + 7) // 8
     clearance = _clearances(cover)
     records = []
-    for order, level in itertools.groupby(
-        _index_sets(cover, max_order), key=lambda rec: len(rec[0])
-    ):
-        indices, masks = zip(*level)
+    for order, level in enumerate(_index_levels(cover, max_order), start=1):
+        indices, _bits, masks = zip(*level)
         if order == 1:
             records.extend(
                 IntersectionRecord(frozenset(idx), cover.sets[idx[0]], cover.centers[idx[0]])

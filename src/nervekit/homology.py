@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import SimplicialComplex
+from .complex import SimplicialComplex, _bits
 from .cover import Cover
 from .metric import FiniteMetricSpace
 from .nerve import nerve_of
@@ -49,19 +49,6 @@ def gf2_rank(mat: np.ndarray) -> int:
     ))
 
 
-def boundary_matrix(K: SimplicialComplex, k: int) -> np.ndarray:
-    """GF(2) boundary matrix from k-simplices to (k-1)-simplices."""
-    highs = K.k_simplices(k)
-    lows = K.k_simplices(k - 1)
-    low_index = {s: i for i, s in enumerate(lows)}
-    mat = np.zeros((len(lows), len(highs)), dtype=np.uint8)
-    for j, s in enumerate(highs):
-        for drop in range(len(s)):
-            face = s[:drop] + s[drop + 1:]
-            mat[low_index[face], j] = 1
-    return mat
-
-
 @dataclass(frozen=True)
 class BettiVector:
     ranks: tuple
@@ -74,30 +61,12 @@ class BettiVector:
         return sum((-1) ** k * r for k, r in enumerate(self.ranks))
 
 
-def _bitsets_by_size(K: SimplicialComplex):
-    """Vertex bitsets of the simplices of K, one sorted list per dimension."""
-    by_size = {}
-    for s in K.simplices:
-        mask = 0
-        for v in s:
-            mask |= 1 << v
-        by_size.setdefault(len(s), []).append(mask)
-    return [sorted(by_size[size]) for size in range(1, len(by_size) + 1)]
-
-
 def _boundary_columns(lows, highs, cleared):
     """Bitset columns of the boundary map from the simplices highs to their
     faces lows (row i is lows[i]), skipping the columns listed in cleared."""
     row = {mask: i for i, mask in enumerate(lows)}
-    for j, mask in enumerate(highs):
-        if j in cleared:
-            continue
-        col, rest = 0, mask
-        while rest:
-            bit = rest & -rest
-            col |= 1 << row[mask ^ bit]
-            rest ^= bit
-        yield col
+    return (sum(1 << row[mask ^ bit] for bit in _bits(mask))
+            for j, mask in enumerate(highs) if j not in cleared)
 
 
 def betti(K: SimplicialComplex, max_dim: int = None) -> BettiVector:
@@ -108,18 +77,18 @@ def betti(K: SimplicialComplex, max_dim: int = None) -> BettiVector:
     (k+1)-column is the highest term of a k-cycle, so its own boundary
     column is a sum of earlier columns and reduces to zero; it is skipped.
     """
-    if not K.simplices:
+    levels = K._levels
+    if not levels:
         raise HomologyError("empty complex has no homology")
-    by_size = _bitsets_by_size(K)
-    dim = len(by_size) - 1
+    dim = len(levels) - 1
     top = dim if max_dim is None else min(max_dim, dim)
     # rank[k]: rank of the boundary map from k-simplices to (k-1)-simplices
     rank = [0] * (top + 2)
     cleared = {}
     for k in range(min(top + 1, dim), 0, -1):
-        cleared = _pivots(_boundary_columns(by_size[k - 1], by_size[k], cleared))
+        cleared = _pivots(_boundary_columns(levels[k - 1], levels[k], cleared))
         rank[k] = len(cleared)
-    ranks = [len(by_size[k]) - rank[k] - rank[k + 1] for k in range(top + 1)]
+    ranks = [len(levels[k]) - rank[k] - rank[k + 1] for k in range(top + 1)]
     return BettiVector(tuple(ranks), truncation_dim=top)
 
 
@@ -135,20 +104,13 @@ def vr_complex(space: FiniteMetricSpace, scale: float, max_dim: int = 3) -> Simp
         raise HomologyError("scale must be positive")
     packed = np.packbits(np.triu(space.dist <= scale, k=1), axis=1, bitorder="little")
     later = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    level = [((v,), later[v]) for v in range(space.n)]
-    cliques = []
-    for _ in range(max_dim):
-        cliques.extend(clique for clique, _common in level)
-        grown = []
-        for clique, common in level:
-            while common:
-                bit = common & -common
-                v = bit.bit_length() - 1
-                grown.append((clique + (v,), common & later[v]))
-                common ^= bit
-        level = grown
-    cliques.extend(clique for clique, _common in level)
-    return SimplicialComplex(space.n, cliques)
+    levels = [[(1 << v, later[v]) for v in range(space.n)]]
+    while len(levels) <= max_dim and levels[-1]:
+        levels.append([(clique | bit, common & later[bit.bit_length() - 1])
+                       for clique, common in levels[-1] for bit in _bits(common)])
+    return SimplicialComplex._from_levels(
+        space.n, [[clique for clique, _common in level] for level in levels if level]
+    )
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from .complex import SimplicialComplex
-from .cover import Cover, CoverError, _index_sets
+from .cover import Cover, CoverError, _index_levels
 
 DEFAULT_MAX_DIM = 8
 
@@ -11,16 +11,15 @@ def nerve_of(cover: Cover, max_dim: int = DEFAULT_MAX_DIM) -> SimplicialComplex:
     """One vertex per cover set, one k-simplex per nonempty (k+1)-fold
     intersection, truncated above max_dim.
 
-    The simplices are the index sets of ``intersections(cover, max_dim + 1)``,
-    enumerated in the same order: level by level, lexicographic within a
-    level.
+    The simplices are the index bitsets of the enumeration behind
+    ``intersections(cover, max_dim + 1)``, handed over level by level.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
-    return SimplicialComplex(
-        cover.n_sets,
-        frozenset(frozenset(idx) for idx, _mask in _index_sets(cover, max_dim + 1)),
-    )
+    return SimplicialComplex._from_levels(cover.n_sets, [
+        [bits for _idx, bits, _members in level]
+        for level in _index_levels(cover, max_dim + 1)
+    ])
 
 
 def require_full_nerve(cover: Cover, max_dim: int):

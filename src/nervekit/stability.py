@@ -77,12 +77,10 @@ def lift_cover(cover: Cover, approx: ApproximationReport,
     require_full_nerve(lifted, max_dim)
     n_src = nerve_of(cover, max_dim=max_dim)
     n_tgt = nerve_of(lifted, max_dim=max_dim)
-    if n_src.simplices != n_tgt.simplices:
+    if n_src._levels != n_tgt._levels:
         diff = n_src.simplices ^ n_tgt.simplices
         bad = sorted(min(diff, key=lambda s: (len(s), sorted(s))))
-        raise MetricError(
-            f"lift does not preserve the nerve: simplex {bad} differs"
-        )
+        raise MetricError(f"lift does not preserve the nerve: simplex {bad} differs")
     return LiftedCover(cover, lifted, tuple(range(cover.n_sets)), approx)
 
 

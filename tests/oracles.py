@@ -16,7 +16,7 @@ from nervekit.cone import ConePoint, CylinderPoint
 from nervekit.complex import ComplexError, combine
 from nervekit.cover import (BETWEEN_TOL, GoodnessEntry, GoodnessReport,
                             IntersectionRecord, _proxy_scale)
-from nervekit.homology import BettiVector, boundary_matrix, vr_complex
+from nervekit.homology import BettiVector, vr_complex
 from nervekit.metric import FiniteMetricSpace, MetricError, _map_epsilon
 from nervekit.retraction import (DeformationTrace, TraceStage,
                                  cone_retraction_phi, cutoff_mu, cutoff_nu,
@@ -167,13 +167,31 @@ def gf2_rank(mat):
     return rank
 
 
+def k_simplices(K, k):
+    """Sorted list of the k-dimensional simplices of K as sorted tuples."""
+    return sorted(tuple(sorted(s)) for s in K.simplices if len(s) == k + 1)
+
+
+def boundary_matrix(K, k):
+    """GF(2) boundary matrix from k-simplices to (k-1)-simplices."""
+    highs = k_simplices(K, k)
+    lows = k_simplices(K, k - 1)
+    low_index = {s: i for i, s in enumerate(lows)}
+    mat = np.zeros((len(lows), len(highs)), dtype=np.uint8)
+    for j, s in enumerate(highs):
+        for drop in range(len(s)):
+            face = s[:drop] + s[drop + 1:]
+            mat[low_index[face], j] = 1
+    return mat
+
+
 def betti(K, max_dim=None):
     """Betti numbers from the dense rank of every boundary matrix."""
     top = K.dim if max_dim is None else min(max_dim, K.dim)
     ranks = []
     rank_in = 0  # rank of the boundary map out of dimension k
     for k in range(top + 1):
-        n_k = len(K.k_simplices(k))
+        n_k = len(k_simplices(K, k))
         rank_out = gf2_rank(boundary_matrix(K, k + 1)) if k + 1 <= K.dim else 0
         ranks.append(n_k - rank_in - rank_out)
         rank_in = rank_out

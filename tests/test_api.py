@@ -1,4 +1,6 @@
-"""The public surface: every exported name resolves, and every demo runs."""
+"""The public surface: every exported name resolves, every name the
+benchmark's tracer patches exists, and every demo runs."""
+import importlib
 import os
 import pathlib
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 import nervekit
 
 SRC = pathlib.Path(nervekit.__file__).resolve().parent.parent
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
@@ -16,6 +19,19 @@ def test_all_names_resolve_without_duplicates():
     assert len(nervekit.__all__) == len(set(nervekit.__all__))
     for name in nervekit.__all__:
         assert getattr(nervekit, name, None) is not None, name
+
+
+def test_traced_names_resolve(monkeypatch):
+    """perfbench/tracing.py patches these names from outside the package, so
+    a refactor that drops one must fail here, not only in a traced run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    for span, mod_name, attr, cls_name, _hook in tracing.TRACED:
+        home = importlib.import_module("nervekit." + mod_name)
+        if cls_name is None:
+            assert callable(getattr(home, attr, None)), span
+        else:
+            assert attr in vars(getattr(home, cls_name)), span
 
 
 def test_four_demos_found():

@@ -21,14 +21,11 @@ def test_from_maximal_closes():
     assert K.dim == 2
 
 
-def test_skeleton_and_star():
+def test_skeleton():
     K = SimplicialComplex.from_maximal(4, [(0, 1, 2), (2, 3)])
     sk = K.skeleton(1)
     assert sk.dim == 1
     assert sk.contains({0, 1}) and not sk.contains({0, 1, 2})
-    star = K.star({2})
-    assert star.contains({0, 1, 2}) and star.contains({2, 3})
-    assert not star.contains({0, 1}) or star.contains({0, 1, 2})
 
 
 def test_relabel_isomorphism():
@@ -118,3 +115,57 @@ def test_nerve_vertices_match_sets():
     cov = three_arc_cover()
     K = nerve_of(cov)
     assert K.vertices == frozenset(range(cov.n_sets))
+
+
+# ---------------------------------------------------------------------------
+# vertex and empty-complex input
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family, shown", [
+    ([[0.5]], "[0.5]"),
+    ([[0, 1.0], [0], [1]], "[0, 1.0]"),
+    ([["a"]], "['a']"),
+    ([[0], [None]], "[None]"),
+    ([[-1, "a"]], "[-1, 'a']"),
+])
+def test_non_integer_vertex_names_the_simplex(family, shown):
+    with pytest.raises(ComplexError) as err:
+        SimplicialComplex(3, family)
+    assert str(err.value) == f"non-integer vertex in simplex {shown}"
+    with pytest.raises(ComplexError, match="non-integer vertex"):
+        SimplicialComplex.from_maximal(3, family)
+
+
+def test_from_json_rejects_float_vertex():
+    with pytest.raises(ComplexError, match=r"non-integer vertex in simplex \[0, 1\.0\]"):
+        SimplicialComplex.from_json({"n": 3, "simplices": [[0, 1.0], [2]]})
+
+
+def test_numpy_integer_vertices_past_bit_63():
+    K = SimplicialComplex.from_maximal(70, [np.array([3, 66]), (np.uint8(5),)])
+    assert K.simplices == {frozenset({3}), frozenset({5}), frozenset({66}),
+                           frozenset({3, 66})}
+    assert K.to_json() == {"n": 70, "simplices": [[3, 66], [5]]}
+    assert K.contains([np.int64(66), 3]) and not K.contains([np.int64(2)])
+    assert not K.contains([0.5]) and not K.contains([-1])
+
+
+@pytest.mark.parametrize("family, message", [
+    ([[0, 5]], "vertex out of range in [0, 5]"),
+    ([[3]], "vertex out of range in [3]"),
+    ([[-1, 0]], "vertex out of range in [-1, 0]"),
+    ([[]], "empty simplex not allowed"),
+    ([[0, 1]], "complex is not downward closed"),
+])
+def test_invalid_family_messages(family, message):
+    with pytest.raises(ComplexError) as err:
+        SimplicialComplex(3, family)
+    assert str(err.value) == message
+
+
+def test_empty_complex_has_dimension_minus_one():
+    K = SimplicialComplex(0, [])
+    assert K.dim == -1
+    assert K.vertices == frozenset() and K.simplices == frozenset()
+    assert K.to_json() == {"n": 0, "simplices": []}
