@@ -10,18 +10,131 @@ import csv
 import itertools
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 METRIC_TOL = 1e-9
-# rows per block of the triangle check: its temporary is at most
-# TRIANGLE_BLOCK * n^2 floats instead of n^3
-TRIANGLE_BLOCK = 32
+# bytes of each temporary of the triangle check: a matrix whose whole n^3
+# temporary fits takes one broadcast, a larger one goes in row blocks of this
+# size (at n = 800 on 2 CPUs, 128 KiB to 512 KiB ran within 15% of it)
+BUDGET = 256 * 2**10
 
 
 class MetricError(ValueError):
     """Raised when data fails metric validation or a precondition."""
+
+
+def _triangle_defects(d: np.ndarray) -> np.ndarray:
+    """``bad[i, k] = d[i, k] - min_j (d[i, j] + d[j, k])``: how far each
+    entry exceeds its shortest two-step detour.
+
+    A matrix whose n^3 temporary fits in ``BUDGET`` takes one broadcast.  A
+    larger one goes in row blocks of ``BUDGET`` bytes, each folding the
+    detours through j = 0, 1, ... into a running minimum in place: the
+    additions are the same and min does not depend on order, so ``bad`` is
+    the same bit for bit.  The blocks are dealt out to up to
+    ``os.cpu_count()`` threads (numpy releases the GIL inside its loops);
+    each block writes only its own rows of ``bad``.
+    """
+    n = len(d)
+    if 8 * n**3 <= BUDGET:
+        return d - np.min(d[:, :, None] + d[None, :, :], axis=1)
+    bad = np.empty_like(d)
+    step = max(1, BUDGET // (8 * n))
+    starts = range(0, n, step)
+    workers = min(os.cpu_count() or 1, len(starts))
+    errors = []
+
+    def fold(first):
+        try:
+            best, t = np.empty((2, step, n))
+            for a in starts[first::workers]:
+                rows = d[a:a + step]
+                b, tb = best[:len(rows)], t[:len(rows)]
+                np.add(rows[:, :1], d[0], out=b)
+                for j in range(1, n):
+                    np.add(rows[:, j:j + 1], d[j], out=tb)
+                    np.minimum(b, tb, out=b)
+                np.subtract(rows, b, out=bad[a:a + step])
+        except Exception as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=fold, args=(w,)) for w in range(1, workers)]
+    for th in threads:
+        th.start()
+    fold(0)
+    for th in threads:
+        th.join()
+    if errors:
+        raise errors[0]
+    return bad
+
+
+def _rounding_bound(m: int, dmax: float) -> float:
+    """Upper bound on every triangle defect ``_triangle_defects`` can compute
+    for a matrix that ``from_coords`` computed from float coordinates in
+    R^m, where ``dmax`` is its largest entry.
+
+    With unit roundoff u = 2^-53 and gamma_k = k u / (1 - k u) (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3), each
+    operation is fl(x op y) = (x op y)(1 + delta) + eta with |delta| <= u.
+    Sums and differences are exact once subnormal (eta = 0); a square can
+    underflow, |eta| <= 2^-1075; a square root never does.
+
+    Distances.  Let D be the exact Euclidean distance of two given points
+    and dh the computed one.  Each of the m squared differences carries
+    (1 + delta)^2 (1 + delta) and the sum, in any order, one more factor
+    1 + theta_{m-1}, so the sum is S (1 + theta_{m+2}) + e with
+    |e| <= m 2^-1074.  As |sqrt(a) - sqrt(b)| <= sqrt(|a - b|) and
+    |sqrt(1 + theta) - 1| <= |theta|, the rounded square root gives
+    dh = D (1 + theta) + eps with |theta| <= g = gamma_{m+3} and
+    |eps| <= eps0 = sqrt(m) 2^-536.
+
+    Defects.  The check computes fl(dh_ik - s) with s = fl(dh_ij + dh_jk)
+    for some j, and s >= (dh_ij + dh_jk)(1 - u)
+    >= ((D_ij + D_jk)(1 - g) - 2 eps0)(1 - u) >= (D_ik (1 - g) - 2 eps0)(1 - u)
+    by the exact triangle inequality.  So dh_ik - s
+    <= D_ik ((1 + g) - (1 - u)(1 - g)) + 3 eps0 <= 2 gamma_{m+4} D_ik + 3 eps0,
+    and rounding the difference adds at most a factor 1 + u.  Finally
+    D_ik <= (dmax + eps0) / (1 - g).  The constant c = 3 covers
+    2 (1 + u) / (1 - g) and the few roundings of this formula itself, and
+    eta = 4 eps0 covers 3 eps0 (1 + u): every computed defect is at most
+
+        c gamma_{m+4} (dmax + eps0) + eta.
+
+    When that is <= METRIC_TOL the triangle check cannot fail.  It still
+    runs once dmax exceeds about METRIC_TOL / (3 (m + 4) u), 4e5 in R^3.
+    """
+    u = 2.0**-53
+    gamma = (m + 4) * u / (1.0 - (m + 4) * u)
+    eps0 = math.sqrt(m) * 2.0**-536
+    return 3.0 * gamma * (dmax + eps0) + 4.0 * eps0
+
+
+class _Certified(np.ndarray):
+    """A distance matrix from ``from_coords`` whose rounding bound is at most
+    ``METRIC_TOL``: validation skips only the triangle check for it."""
+
+
+def _check_rows(rows, what: str):
+    """Raise a MetricError naming the first row of a list of rows whose
+    length differs from the first row's."""
+    if not isinstance(rows, list) or not all(isinstance(r, (list, tuple)) for r in rows):
+        return
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise MetricError(f"{what} row {i} has length {len(row)}, "
+                              f"expected {len(rows[0])}")
+
+
+def _csv_cell(value: str, i: int, j: int) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise MetricError(f"non-numeric entry at ({i},{j}): {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -38,6 +151,7 @@ class FiniteMetricSpace:
     points: tuple = None
 
     def __post_init__(self):
+        certified = type(self.dist) is _Certified
         d = np.asarray(self.dist, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise MetricError(f"distance matrix must be square, got shape {d.shape}")
@@ -57,19 +171,15 @@ class FiniteMetricSpace:
         if np.any(asym > METRIC_TOL):
             i, j = np.unravel_index(np.argmax(asym), asym.shape)
             raise MetricError(f"asymmetric entry at ({i},{j}): {d[i, j]} vs {d[j, i]}")
-        # min_j d[i,j] + d[j,k] must dominate d[i,k]
-        bad = np.empty_like(d)
-        for a in range(0, n, TRIANGLE_BLOCK):
-            rows = d[a:a + TRIANGLE_BLOCK]
-            best = np.min(rows[:, :, None] + d[None, :, :], axis=1)
-            bad[a:a + TRIANGLE_BLOCK] = rows - best
-        if np.any(bad > METRIC_TOL):
-            i, k = np.unravel_index(np.argmax(bad), bad.shape)
-            j = int(np.argmin(d[i, :] + d[:, k]))
-            raise MetricError(
-                f"triangle inequality violated for ({i},{j},{k}): "
-                f"{d[i, k]} > {d[i, j]} + {d[j, k]}"
-            )
+        if not certified:
+            bad = _triangle_defects(d)
+            if np.any(bad > METRIC_TOL):
+                i, k = np.unravel_index(np.argmax(bad), bad.shape)
+                j = int(np.argmin(d[i, :] + d[:, k]))
+                raise MetricError(
+                    f"triangle inequality violated for ({i},{j},{k}): "
+                    f"{d[i, k]} > {d[i, j]} + {d[j, k]}"
+                )
         d = (d + d.T) / 2.0
         np.fill_diagonal(d, 0.0)
         d.setflags(write=False)
@@ -92,19 +202,33 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_coords(cls, coords) -> "FiniteMetricSpace":
-        """Euclidean metric on a point cloud in R^d."""
-        c = np.asarray(coords, dtype=float)
+        """Euclidean metric on a point cloud in R^d.
+
+        The triangle check is skipped when ``_rounding_bound`` shows that it
+        cannot fail; every other check runs."""
+        try:
+            c = np.asarray(coords, dtype=float)
+        except ValueError:
+            _check_rows(coords, "coords")
+            raise
         if c.ndim != 2:
             raise MetricError("coords must be a 2-D array")
         diff = c[:, None, :] - c[None, :, :]
-        return cls(np.sqrt((diff**2).sum(axis=2)))
+        d = np.sqrt((diff**2).sum(axis=2))
+        if _rounding_bound(c.shape[1], np.max(d, initial=0.0)) <= METRIC_TOL:
+            d = d.view(_Certified)
+        return cls(d)
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteMetricSpace":
         if "coords" in obj:
             return cls.from_coords(obj["coords"])
         if "dist" in obj:
-            d = np.asarray(obj["dist"], dtype=float)
+            try:
+                d = np.asarray(obj["dist"], dtype=float)
+            except ValueError:
+                _check_rows(obj["dist"], "dist")
+                raise
             if "n" in obj and int(obj["n"]) != d.shape[0]:
                 raise MetricError("declared n does not match matrix size")
             return cls(d)
@@ -121,12 +245,16 @@ class FiniteMetricSpace:
         if path.endswith(".json") or text.lstrip().startswith("{"):
             return cls.from_json(json.loads(text))
         rows = [r for r in csv.reader(text.splitlines()) if r]
-        try:
-            float(rows[0][0])
-        except ValueError:
-            rows = rows[1:]
-        d = np.array([[float(v) for v in r] for r in rows])
-        return cls(d)
+        if rows:
+            try:
+                float(rows[0][0])
+            except ValueError:
+                rows = rows[1:]
+        if not rows:
+            raise MetricError("empty distance matrix")
+        _check_rows(rows, "CSV")
+        return cls(np.array([[_csv_cell(v, i, j) for j, v in enumerate(r)]
+                             for i, r in enumerate(rows)]))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@
 the downward-closure check, maximal simplices, complement distances, the
 per-point cutoff weights of the partition of unity, dense GF(2) homology,
 Vietoris-Rips cliques, star-shapedness, the goodness report, tree
-distances, the cylinder retraction replayed once per grid value and the
-gather-based greedy Gromov-Hausdorff matching.  The tests compare nervekit's
-bitset cover core, its linear complex checks, ``PartitionOfUnity``, its
-sparse homology core, ``goodness_report``, ``tree_space``,
-``full_cylinder_retraction`` and ``gh_distance_bound`` against them."""
+distances, the cylinder retraction replayed once per grid value, the
+gather-based greedy Gromov-Hausdorff matching and the triangle check by one
+broadcast per 32-row block.  The tests compare nervekit's bitset cover core,
+its linear complex checks, ``PartitionOfUnity``, its sparse homology core,
+``goodness_report``, ``tree_space``, ``full_cylinder_retraction``,
+``gh_distance_bound`` and the metric validation kernel against them."""
 import itertools
 import math
 
@@ -339,3 +340,13 @@ def gh_distance_bound(X, Y, trials=16, seed=0):
         )
         upper = min(upper, eps)
     return lower, float(upper)
+
+
+def triangle_defects(d, block=32):
+    """``d[i, k] - min_j (d[i, j] + d[j, k])`` for every entry, by one
+    broadcast over each block of ``block`` rows."""
+    bad = np.empty_like(d)
+    for a in range(0, len(d), block):
+        rows = d[a:a + block]
+        bad[a:a + block] = rows - np.min(rows[:, :, None] + d[None, :, :], axis=1)
+    return bad

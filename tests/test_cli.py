@@ -58,6 +58,22 @@ def test_cover_rejects_invalid_matrix(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("empty.csv", "", "empty distance matrix"),
+    ("cell.csv", "d0,d1\n0,1\n1,x\n", "non-numeric entry at (1,1): 'x'"),
+    ("ragged.json", json.dumps({"dist": [[0, 1], [1, 0, 2]]}),
+     "dist row 1 has length 3, expected 2"),
+])
+def test_cover_rejects_malformed_space_file(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    code = main([
+        "cover", str(path), "--radius", "1.0", "--out", str(tmp_path / "c.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_nerve_and_verify_subcommands(tmp_path):
     cov = three_arc_cover(24)
     space_path = tmp_path / "space.json"

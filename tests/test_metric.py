@@ -1,18 +1,23 @@
 import itertools
+import json
 import math
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nervekit.metric import (TRIANGLE_BLOCK, ApproximationReport,
+from nervekit import metric
+from nervekit.metric import (METRIC_TOL, ApproximationReport,
                              FiniteMetricSpace, MetricError, PointMap,
                              check_approximation,
                              check_strainer, comparison_angle,
                              gh_distance_bound, gh_distance_exhaustive)
 from nervekit.samples import circle_space, line_space, random_point_space
+from oracles import triangle_defects
 
 
 def test_valid_matrix_accepted():
@@ -110,11 +115,25 @@ def test_random_euclidean_clouds_validate(n, seed):
     assert sp.n == n
 
 
-# Perturbations of a valid matrix that break exactly one axiom.  Sizes reach
-# past two triangle-check blocks, so a witness in a later block must win.
+# Perturbations of a valid matrix that break exactly one axiom.  Under
+# _small_blocks a 70-point matrix spans 4 row blocks of the triangle check,
+# so a witness in a later block must win; up to 11 points take the one-shot
+# broadcast.
+
+SMALL_BUDGET = 8 * 70 * 20  # 20-row blocks at n = 70
+
+
+def _small_blocks():
+    return mock.patch.object(metric, "BUDGET", SMALL_BUDGET)
+
+
+def _blocks(n, budget):
+    step = max(1, budget // (8 * n))
+    return -(-n // step)
+
 
 def _euclidean(data, min_n=2):
-    n = data.draw(st.integers(min_n, 2 * TRIANGLE_BLOCK + 6), label="n")
+    n = data.draw(st.integers(min_n, 70), label="n")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     return np.array(random_point_space(n, dim=3, seed=seed).dist)
 
@@ -127,7 +146,7 @@ def _pair(data, n, distinct=True):
 
 
 def _rejected(d) -> str:
-    with pytest.raises(MetricError) as exc:
+    with _small_blocks(), pytest.raises(MetricError) as exc:
         FiniteMetricSpace(d)
     return str(exc.value)
 
@@ -136,7 +155,8 @@ def _rejected(d) -> str:
 @settings(max_examples=40, deadline=None)
 def test_random_euclidean_matrices_validate(data):
     d = _euclidean(data)
-    assert FiniteMetricSpace(d).n == len(d)
+    with _small_blocks():
+        assert FiniteMetricSpace(d).n == len(d)
 
 
 @given(st.data(), st.floats(1e-6, 10.0))
@@ -193,7 +213,8 @@ def _unblocked_triangle_message(d) -> str:
 
 
 def test_triangle_witness_spans_blocks():
-    n = 3 * TRIANGLE_BLOCK + 5
+    n = 101
+    assert _blocks(n, SMALL_BUDGET) == 8  # of 13 rows
     d = np.array(random_point_space(n, dim=2, seed=4).dist)
     # a small violation in the first block, the worst one in the last
     for (i, k), excess in (((1, 7), 0.5), ((n - 9, n - 2), 3.0), ((40, n - 1), 1.0)):
@@ -201,6 +222,43 @@ def test_triangle_witness_spans_blocks():
     message = _rejected(d)
     assert message == _unblocked_triangle_message(d)
     assert message.startswith(f"triangle inequality violated for ({n - 9},")
+
+
+@given(st.data(), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_blocked_oracle(data, cpus):
+    d = _euclidean(data)
+    if data.draw(st.booleans(), label="perturb"):
+        # symmetric noise of up to 50% breaks many triangles
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="noise"))
+        f = rng.uniform(0.5, 1.5, size=d.shape)
+        d = d * (f + f.T) / 2.0
+    with _small_blocks(), mock.patch("os.cpu_count", return_value=cpus):
+        bad = metric._triangle_defects(d)
+    assert bad.tobytes() == triangle_defects(d).tobytes()
+
+
+def test_kernel_matches_blocked_oracle_at_full_budget():
+    n = 400
+    assert _blocks(n, metric.BUDGET) >= 3
+    d = np.array(random_point_space(n, dim=3, seed=5).dist)
+    d[3, 390] = d[390, 3] = d[3, 390] + 1.0
+    assert metric._triangle_defects(d).tobytes() == triangle_defects(d).tobytes()
+
+
+def test_kernel_raises_a_worker_error():
+    d = np.array(random_point_space(70, dim=3, seed=1).dist)
+    minimum = np.minimum
+
+    def failing_off_main_thread(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("worker failed")
+        return minimum(*args, **kwargs)
+
+    with _small_blocks(), mock.patch("os.cpu_count", return_value=2), \
+            mock.patch.object(metric.np, "minimum", failing_off_main_thread):
+        with pytest.raises(FloatingPointError, match="worker failed"):
+            metric._triangle_defects(d)
 
 
 def test_validation_memory_is_bounded():
@@ -213,6 +271,147 @@ def test_validation_memory_is_bounded():
         tracemalloc.stop()
     # the unblocked check's n^3 temporary alone is 216 MB
     assert peak < 40 * 2**20
+
+
+def test_validation_memory_is_bounded_at_600_points():
+    n = 600
+    d = np.array(random_point_space(n, dim=3, seed=0).dist)
+    tracemalloc.start()
+    try:
+        FiniteMetricSpace(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a 32-row block of the broadcast check alone is 92 MB
+    assert peak < 6 * 8 * n * n
+
+
+# ---------------------------------------------------------------------------
+# coordinate input: the triangle check is skipped where rounding cannot fail it
+# ---------------------------------------------------------------------------
+
+
+def _pairwise(c):
+    """The matrix from_coords computes, as a plain array."""
+    diff = c[:, None, :] - c[None, :, :]
+    return np.sqrt((diff**2).sum(axis=2))
+
+
+def _outcome(make):
+    try:
+        return make().dist.tobytes()
+    except MetricError as exc:
+        return str(exc)
+
+
+@st.composite
+def _clouds(draw):
+    """Clouds of 1 to 8 points in R^1..R^6 at magnitudes 1e-6 to 1e8, with
+    repeated points and points on the segment between two others."""
+    m = draw(st.integers(1, 6), label="dim")
+    coord = st.floats(-1.0, 1.0, allow_subnormal=False)
+    pts = draw(st.lists(st.lists(coord, min_size=m, max_size=m), min_size=1, max_size=8))
+    c = np.array(pts) * 10.0 ** draw(st.integers(-6, 8), label="exponent")
+    for _ in range(draw(st.integers(0, 3), label="extra")):
+        a, b = (draw(st.integers(0, len(c) - 1)) for _ in range(2))
+        t = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        c = np.vstack([c, c[a] + t * (c[b] - c[a])])
+    return c
+
+
+@given(_clouds())
+@settings(max_examples=200, deadline=None)
+def test_coordinate_input_matches_the_full_check(c):
+    assert _outcome(lambda: FiniteMetricSpace.from_coords(c)) == \
+        _outcome(lambda: FiniteMetricSpace(_pairwise(c)))
+
+
+@given(_clouds())
+@settings(max_examples=200, deadline=None)
+def test_rounding_bound_dominates_every_defect(c):
+    d = _pairwise(c)
+    assert triangle_defects(d).max() <= metric._rounding_bound(c.shape[1], d.max())
+
+
+def test_rounding_alone_can_fail_the_check():
+    # a Euclidean triangle whose computed defect is 1.4e-9 by rounding only
+    c = np.array([[1431091.435, -124768.584], [-326749.579, 316561.148],
+                  [-1968987.896, 728867.262]])
+    d = _pairwise(c)
+    assert metric._rounding_bound(2, d.max()) > METRIC_TOL
+    message = _outcome(lambda: FiniteMetricSpace.from_coords(c))
+    assert message.startswith("triangle inequality violated")
+    assert message == _outcome(lambda: FiniteMetricSpace(d))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = []
+    kernel = metric._triangle_defects
+
+    def spy(d):
+        calls.append(len(d))
+        return kernel(d)
+
+    monkeypatch.setattr(metric, "_triangle_defects", spy)
+    return calls
+
+
+def test_kernel_skipped_only_where_the_bound_allows(kernel_calls):
+    c = np.random.default_rng(3).uniform(size=(60, 3))
+    FiniteMetricSpace.from_coords(c)
+    assert kernel_calls == []
+    d = _pairwise(c * 1e8)
+    assert metric._rounding_bound(3, d.max()) > METRIC_TOL
+    assert _outcome(lambda: FiniteMetricSpace.from_coords(c * 1e8)) == \
+        _outcome(lambda: FiniteMetricSpace(d))
+    assert kernel_calls == [60, 60]
+
+
+def test_distance_matrix_input_always_runs_the_kernel(tmp_path, kernel_calls):
+    sp = circle_space(8)
+    FiniteMetricSpace(np.array(sp.dist))
+    (tmp_path / "d.json").write_text(json.dumps(sp.to_json()))
+    FiniteMetricSpace.load(str(tmp_path / "d.json"))
+    (tmp_path / "d.csv").write_text("0,1,2\n1,0,1\n2,1,0\n")
+    FiniteMetricSpace.load(str(tmp_path / "d.csv"))
+    assert kernel_calls == [8, 8, 3]
+    (tmp_path / "c.json").write_text(json.dumps({"coords": [[0.0, 0.0], [3.0, 4.0]]}))
+    assert FiniteMetricSpace.load(str(tmp_path / "c.json")).dist[0, 1] == 5.0
+    assert kernel_calls == [8, 8, 3]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("coords, message", [
+    ([[0.0], [1e200]], "non-finite distance at (0,1): inf"),
+    ([[0.0, 0.0], [np.nan, 1.0]], "non-finite distance at (0,1): nan"),
+])
+def test_coordinate_overflow_fails_the_finiteness_check(coords, message):
+    assert _outcome(lambda: FiniteMetricSpace.from_coords(coords)) == message
+
+
+# ---------------------------------------------------------------------------
+# malformed space files
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("empty.csv", "", "empty distance matrix"),
+    ("header.csv", "a,b,c\n", "empty distance matrix"),
+    ("ragged.csv", "0,1,2\n1,0\n2,1,0\n", "CSV row 1 has length 2, expected 3"),
+    ("ragged_header.csv", "a,b,c\n0,1,2\n1,0,1\n2,1\n",
+     "CSV row 2 has length 2, expected 3"),
+    ("cell.csv", "0,1,2\n1,0,x\n2,1,0\n", "non-numeric entry at (1,2): 'x'"),
+    ("dist.json", json.dumps({"dist": [[0, 1], [1]]}), "dist row 1 has length 1, expected 2"),
+    ("coords.json", json.dumps({"coords": [[0, 0], [1, 0], [2]]}),
+     "coords row 2 has length 1, expected 2"),
+])
+def test_malformed_space_file_is_named(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(MetricError) as exc:
+        FiniteMetricSpace.load(str(path))
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
