@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 METRIC_TOL = 1e-9
-# bytes of each temporary of the triangle check: a matrix whose whole n^3
-# temporary fits takes one broadcast, a larger one goes in row blocks of this
-# size (at n = 800 on 2 CPUs, 128 KiB to 512 KiB ran within 15% of it)
+# bytes of each temporary of the triangle check and of ``from_coords``: a
+# matrix whose whole n^3 temporary fits takes one broadcast, a larger one goes
+# in row blocks of this size (at n = 800 on 2 CPUs, 128 KiB to 512 KiB ran
+# within 15% of it)
 BUDGET = 256 * 2**10
 
 
@@ -204,8 +205,10 @@ class FiniteMetricSpace:
     def from_coords(cls, coords) -> "FiniteMetricSpace":
         """Euclidean metric on a point cloud in R^d.
 
-        The triangle check is skipped when ``_rounding_bound`` shows that it
-        cannot fail; every other check runs."""
+        The distances are computed in row blocks whose difference array
+        takes ``BUDGET`` bytes, with the same per-pair arithmetic as one
+        broadcast.  The triangle check is skipped when ``_rounding_bound``
+        shows that it cannot fail; every other check runs."""
         try:
             c = np.asarray(coords, dtype=float)
         except ValueError:
@@ -213,9 +216,12 @@ class FiniteMetricSpace:
             raise
         if c.ndim != 2:
             raise MetricError("coords must be a 2-D array")
-        diff = c[:, None, :] - c[None, :, :]
-        d = np.sqrt((diff**2).sum(axis=2))
-        if _rounding_bound(c.shape[1], np.max(d, initial=0.0)) <= METRIC_TOL:
+        n, m = c.shape
+        d = np.empty((n, n))
+        step = max(1, BUDGET // (8 * max(n * m, 1)))
+        for a in range(0, n, step):
+            d[a:a + step] = np.sqrt(((c[a:a + step, None] - c[None]) ** 2).sum(axis=2))
+        if _rounding_bound(m, np.max(d, initial=0.0)) <= METRIC_TOL:
             d = d.view(_Certified)
         return cls(d)
 
@@ -350,20 +356,36 @@ def gh_distance_exhaustive(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> float:
 def _greedy_map(X: FiniteMetricSpace, Y: FiniteMetricSpace, ax: int, ay: int) -> np.ndarray:
     """Anchored greedy matching: map ax to ay, then place remaining points so
     each new assignment minimizes the worst distance discrepancy against the
-    points already placed."""
+    points already placed, the first minimizer winning ties.
+
+    Sending the k-th placed point x to y costs ``cost[y] = max_p |dY[f(p), y]
+    - dX[x, p]|`` over the placed p.  The max over the anchor and the last
+    placed point alone is a lower bound ``lb <= cost``.  With ``c0`` the full
+    cost of ``y0 = argmin(lb)``, every minimizer y has ``lb[y] <= cost[y] =
+    min(cost) <= c0``, so all of them are in ``cand = flatnonzero(lb <= c0)``.
+    Only those get a full cost, the max of ``lb`` and the points in between.
+    ``cand`` is ascending, so its first minimizer is the one a full ``argmin``
+    would pick; and the costs are the same floats, as ``abs`` and ``max`` are
+    exact.  So the image is the same as that of the full scan.
+    """
     order = np.argsort(X.dist[ax], kind="stable")
     dxo = X.dist[np.ix_(order, order)]
     # row k: dY[f(order[k])] once placed, equal to its column (dY is symmetric)
     rows = np.empty((X.n, Y.n))
     image = np.full(X.n, -1, dtype=int)
-    for k, x in enumerate(order):
-        if k == 0:
-            image[x] = ay
-        else:
-            # cost of sending x to y: worst |dY[f(p), y] - dX[x, p]|
-            cost = np.abs(rows[:k] - dxo[k, :k, None]).max(axis=0)
-            image[x] = int(np.argmin(cost))
-        rows[k] = Y.dist[image[x]]
+    image[order[0]] = ay
+    rows[0] = Y.dist[ay]
+    anchor = np.abs(rows[0] - dxo[:, :1])  # every step's anchor term
+    for k in range(1, X.n):
+        dx = dxo[k]
+        lb = np.maximum(anchor[k], np.abs(rows[k - 1] - dx[k - 1]))
+        y0 = lb.argmin()
+        c0 = np.abs(rows[:k, y0] - dx[:k]).max()
+        cand = np.flatnonzero(lb <= c0)
+        between = np.abs(rows[1:k - 1, cand] - dx[1:k - 1, None]).max(axis=0, initial=0.0)
+        y = cand[np.maximum(lb[cand], between).argmin()]
+        image[order[k]] = y
+        rows[k] = Y.dist[y]
     return image
 
 

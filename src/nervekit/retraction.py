@@ -260,17 +260,26 @@ def simplexwise_retraction(sigma, contraction: Contraction, x: BarycentricPoint,
 def _simplexwise_points(sigma, contraction, x, p, s_grid, L) -> list:
     """The pairs of ``simplexwise_retraction`` at each s of ``s_grid``.
 
-    The radial projection and the height blend depend only on (sigma, x, t),
-    so they are computed once for the whole grid.
+    The radial projection, the height blend and the differences
+    ``psi0[v] - x[v]`` depend only on (sigma, x, t), so they are computed once
+    for the whole grid; each point is then ``combine(x, psi0, s)``, the same
+    floats over the same keys in the same order.
     """
     t = p.t
     psi0, u = radial_projection(sigma, x, t, L)
     w = height_blend(sigma, x, t, L, u=u)
+    diff = {v: (x[v], psi0[v] - x[v]) for v in set(x.weights) | set(psi0.weights)}
     out = []
     for s in s_grid:
+        if s == 0.0:
+            theta = x
+        elif s == 1.0:
+            theta = psi0
+        else:
+            theta = BarycentricPoint({v: a + s * d for v, (a, d) in diff.items()})
         mu_s = cutoff_mu(s)
         base = contraction(p.base, 0.0 if mu_s == 0.0 else mu_s * (t - u))
-        out.append((combine(x, psi0, s), ConePoint(base, lerp(t, w, cutoff_nu(s)))))
+        out.append((theta, ConePoint(base, lerp(t, w, cutoff_nu(s)))))
     return out
 
 
@@ -348,7 +357,10 @@ def full_cylinder_retraction(cyl: CylinderSpace, contractions: dict,
         else:
             pts = [CylinderPoint(nx_, nc) for nx_, nc in _simplexwise_points(
                 sigma, con, cur.theta, cur.cone, grid, cyl.L)]
-        membership_ok &= all(cyl.check_membership(q) for q in pts)
+        # a point's membership depends only on its support, its base and
+        # whether its height lies in [0, L]: check one point per such key
+        distinct = {(q.theta.support, q.cone.base, 0.0 <= q.cone.t <= cyl.L): q for q in pts}
+        membership_ok &= all(cyl.check_membership(q) for q in distinct.values())
         stages.append(TraceStage(sigma, grid, tuple(pts)))
         cur = pts[-1]
     return DeformationTrace(point, tuple(stages), membership_ok)

@@ -3,11 +3,13 @@ the downward-closure check, maximal simplices, complement distances, the
 per-point cutoff weights of the partition of unity, dense GF(2) homology,
 Vietoris-Rips cliques, star-shapedness, the goodness report, tree
 distances, the cylinder retraction replayed once per grid value, the
-gather-based greedy Gromov-Hausdorff matching and the triangle check by one
-broadcast per 32-row block.  The tests compare nervekit's bitset cover core,
-its linear complex checks, ``PartitionOfUnity``, its sparse homology core,
-``goodness_report``, ``tree_space``, ``full_cylinder_retraction``,
-``gh_distance_bound`` and the metric validation kernel against them."""
+gather-based greedy Gromov-Hausdorff matching, the triangle check by one
+broadcast per 32-row block and Euclidean distances by one broadcast.  The
+tests compare nervekit's bitset cover core, its linear complex checks,
+``PartitionOfUnity``, its sparse homology core, ``goodness_report``,
+``tree_space``, ``full_cylinder_retraction``, ``gh_distance_bound``, the
+metric validation kernel and ``FiniteMetricSpace.from_coords`` against
+them."""
 import itertools
 import math
 
@@ -350,3 +352,9 @@ def triangle_defects(d, block=32):
         rows = d[a:a + block]
         bad[a:a + block] = rows - np.min(rows[:, :, None] + d[None, :, :], axis=1)
     return bad
+
+
+def coord_distances(c):
+    """Euclidean distances of the rows of ``c`` by one (n, n, m) broadcast."""
+    diff = c[:, None, :] - c[None, :, :]
+    return np.sqrt((diff**2).sum(axis=2))

@@ -1,11 +1,15 @@
 """The cylinder retraction and the greedy Gromov-Hausdorff matching against
 the oracles in ``oracles.py``: traces, single retraction steps, greedy
-images and GH brackets must be equal float for float."""
+images and GH brackets must be equal float for float.  The greedy cases
+include those where its pruning could go wrong: many tied costs (grids,
+lines, a discrete metric, repeated points) and spaces of up to 256 points."""
 import functools
 import itertools
 import json
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,3 +126,134 @@ def test_gh_bracket_matches_on_circles_of_unequal_size():
                 == oracles.gh_distance_bound(X, Y, trials=6, seed=seed))
         assert (gh_distance_bound(Y, X, trials=6, seed=seed)
                 == oracles.gh_distance_bound(Y, X, trials=6, seed=seed))
+
+
+class _Detour:
+    """Stands in for a contraction to ``center``: fixes every base at time 0,
+    sends it to ``outside`` at times strictly between 0 and L/2 and to the
+    center from L/2 on, so a stage can leave the cylinder and come back."""
+
+    def __init__(self, center, outside):
+        self.center, self.outside = center, outside
+
+    def __call__(self, x, time):
+        if time <= 0.0:
+            return x
+        return self.center if time >= L / 2.0 else self.outside
+
+
+def test_membership_flags_match_when_a_stage_leaves_the_cylinder():
+    cover, cyl, cons, simplices = _cylinder("octahedral")
+    far = {key: _Detour(con.center, int(np.argmax(cover.space.dist[con.center])))
+           for key, con in cons.items()}
+    rng = np.random.default_rng(11)
+    flags = set()
+    for _ in range(60):
+        sigma = simplices[rng.integers(len(simplices))]
+        members = sorted(frozenset.intersection(*(cover.sets[j] for j in sigma)))
+        p = CylinderPoint(BarycentricPoint(dict(zip(sigma, rng.dirichlet(np.ones(len(sigma)))))),
+                          ConePoint(int(members[rng.integers(len(members))]),
+                                    float(rng.uniform(0.0, L))))
+        got = full_cylinder_retraction(cyl, far, p, n_steps=8)
+        want = oracles.full_cylinder_retraction(cyl, far, p, n_steps=8)
+        assert _dump(got.to_json()) == _dump(want.to_json())
+        flags.add(got.membership_ok)
+    assert flags == {True, False}
+
+
+def _assert_greedy_matches(X, Y, anchors):
+    for ax, ay in anchors:
+        assert _greedy_map(X, Y, ax, ay).tolist() == oracles.greedy_map(X, Y, ax, ay).tolist()
+        assert _greedy_map(Y, X, ay, ax).tolist() == oracles.greedy_map(Y, X, ay, ax).tolist()
+
+
+@st.composite
+def larger_spaces(draw):
+    """30 to 120 points: a random cloud, a subset of a 12 x 12 integer grid
+    or an evenly spaced line."""
+    n = draw(st.integers(30, 120))
+    kind = draw(st.sampled_from(["cloud", "grid", "line"]))
+    if kind == "line":
+        return line_space(n, spacing=draw(st.sampled_from([0.5, 1.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "grid":
+        cells = rng.choice(144, size=n, replace=False)
+        return FiniteMetricSpace.from_coords(
+            np.stack([cells // 12, cells % 12], axis=1).astype(float))
+    return FiniteMetricSpace.from_coords(rng.uniform(0.0, 3.0, size=(n, draw(st.integers(1, 3)))))
+
+
+@given(larger_spaces(), larger_spaces(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_greedy_images_match_on_larger_spaces(X, Y, data):
+    anchors = data.draw(st.lists(st.tuples(st.integers(0, X.n - 1), st.integers(0, Y.n - 1)),
+                                 min_size=1, max_size=3))
+    _assert_greedy_matches(X, Y, anchors)
+
+
+@given(larger_spaces(), larger_spaces(), st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_gh_bracket_matches_on_larger_spaces(X, Y, seed):
+    assert (gh_distance_bound(X, Y, trials=2, seed=seed)
+            == oracles.gh_distance_bound(X, Y, trials=2, seed=seed))
+
+
+def _discrete(n):
+    return FiniteMetricSpace(1.0 - np.eye(n))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 5), (5, 1), (6, 6), (7, 12), (12, 7), (40, 33)])
+def test_greedy_matches_on_a_discrete_metric(n, m):
+    # every off-diagonal distance is 1.0, so every candidate ties
+    X, Y = _discrete(n), _discrete(m)
+    _assert_greedy_matches(X, Y, itertools.product(range(min(n, 3)), range(min(m, 3))))
+    for seed in range(3):
+        assert (gh_distance_bound(X, Y, trials=4, seed=seed)
+                == oracles.gh_distance_bound(X, Y, trials=4, seed=seed))
+
+
+@given(st.integers(1, 12), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_greedy_matches_with_repeated_points(k, dim, seed, data):
+    # k distinct points, each repeated up to five times, in shuffled order
+    rng = np.random.default_rng(seed)
+    distinct = rng.integers(0, 3, size=(k, dim)).astype(float)
+    c = rng.permutation(np.repeat(distinct, rng.integers(1, 6, size=k), axis=0))
+    X = FiniteMetricSpace.from_coords(c)
+    Y = FiniteMetricSpace.from_coords(distinct)
+    anchors = data.draw(st.lists(st.tuples(st.integers(0, X.n - 1), st.integers(0, Y.n - 1)),
+                                 min_size=1, max_size=4))
+    _assert_greedy_matches(X, Y, anchors)
+    _assert_greedy_matches(X, X, [(ax, ax) for ax, _ay in anchors])
+    assert (gh_distance_bound(X, Y, trials=3, seed=seed)
+            == oracles.gh_distance_bound(X, Y, trials=3, seed=seed))
+
+
+def _jittered_circle(n, seed, jitter=0.02):
+    rng = np.random.default_rng(seed)
+    ang = 2.0 * np.pi * np.arange(n) / n + rng.uniform(-jitter, jitter, size=n)
+    return FiniteMetricSpace.from_coords(np.stack([np.cos(ang), np.sin(ang)], axis=1))
+
+
+@pytest.mark.parametrize("n, m", [(30, 47), (64, 120), (120, 37)])
+def test_greedy_matches_on_jittered_circles_of_unequal_size(n, m):
+    X, Y = _jittered_circle(n, seed=n), _jittered_circle(m, seed=m)
+    _assert_greedy_matches(X, Y, [(0, 0), (n // 2, m // 3), (n - 1, m - 1)])
+    assert (gh_distance_bound(X, Y, trials=3, seed=n)
+            == oracles.gh_distance_bound(X, Y, trials=3, seed=n))
+
+
+def test_greedy_matches_on_the_benchmark_circle_pair():
+    # 256 circle points and a jittered, relabelled copy, built as the
+    # benchmark's maps workload builds its stability inputs
+    n = 256
+    ang = 2.0 * np.pi * np.arange(n) / n
+    src = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    X = FiniteMetricSpace.from_coords(src)
+    r = 2.0 * math.sin(math.radians(35.0))
+    mesh = max(X.dist[np.ix_(arc, arc)].max()
+               for arc in (np.flatnonzero(X.dist[c] < r) for c in (0, n // 3, 2 * n // 3)))
+    rng = np.random.default_rng(1)
+    tgt = (src + rng.uniform(-1.0, 1.0, size=src.shape) * mesh / 25.0)[rng.permutation(n)]
+    Y = FiniteMetricSpace.from_coords(tgt)
+    _assert_greedy_matches(X, Y, [(0, 17), (200, 3)])

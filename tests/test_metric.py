@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -17,7 +18,7 @@ from nervekit.metric import (METRIC_TOL, ApproximationReport,
                              check_strainer, comparison_angle,
                              gh_distance_bound, gh_distance_exhaustive)
 from nervekit.samples import circle_space, line_space, random_point_space
-from oracles import triangle_defects
+from oracles import coord_distances, triangle_defects
 
 
 def test_valid_matrix_accepted():
@@ -291,12 +292,6 @@ def test_validation_memory_is_bounded_at_600_points():
 # ---------------------------------------------------------------------------
 
 
-def _pairwise(c):
-    """The matrix from_coords computes, as a plain array."""
-    diff = c[:, None, :] - c[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
-
-
 def _outcome(make):
     try:
         return make().dist.tobytes()
@@ -323,13 +318,13 @@ def _clouds(draw):
 @settings(max_examples=200, deadline=None)
 def test_coordinate_input_matches_the_full_check(c):
     assert _outcome(lambda: FiniteMetricSpace.from_coords(c)) == \
-        _outcome(lambda: FiniteMetricSpace(_pairwise(c)))
+        _outcome(lambda: FiniteMetricSpace(coord_distances(c)))
 
 
 @given(_clouds())
 @settings(max_examples=200, deadline=None)
 def test_rounding_bound_dominates_every_defect(c):
-    d = _pairwise(c)
+    d = coord_distances(c)
     assert triangle_defects(d).max() <= metric._rounding_bound(c.shape[1], d.max())
 
 
@@ -337,11 +332,58 @@ def test_rounding_alone_can_fail_the_check():
     # a Euclidean triangle whose computed defect is 1.4e-9 by rounding only
     c = np.array([[1431091.435, -124768.584], [-326749.579, 316561.148],
                   [-1968987.896, 728867.262]])
-    d = _pairwise(c)
+    d = coord_distances(c)
     assert metric._rounding_bound(2, d.max()) > METRIC_TOL
     message = _outcome(lambda: FiniteMetricSpace.from_coords(c))
     assert message.startswith("triangle inequality violated")
     assert message == _outcome(lambda: FiniteMetricSpace(d))
+
+
+def _coord_matrix(c):
+    """The matrix ``from_coords`` hands to the constructor, before validation."""
+    seen = []
+
+    class Spy(FiniteMetricSpace):
+        def __post_init__(self):
+            seen.append(np.array(self.dist))
+            super().__post_init__()
+
+    with contextlib.suppress(MetricError):
+        Spy.from_coords(c)
+    return seen[0]
+
+
+@given(st.integers(3, 40), st.integers(1, 8), st.integers(-6, 7), st.data())
+@settings(max_examples=100, deadline=None)
+def test_coordinate_blocks_match_one_broadcast(n, m, exponent, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    c = rng.uniform(-1.0, 1.0, size=(n, m)) * 10.0**exponent
+    c[rng.integers(n, size=n // 4)] = c[rng.integers(n, size=n // 4)]  # repeats
+    rows = data.draw(st.integers(1, n // 3), label="rows")
+    with mock.patch.object(metric, "BUDGET", 8 * n * m * rows):  # 3 or more blocks
+        got = _coord_matrix(c)
+    assert got.tobytes() == coord_distances(c).tobytes()
+
+
+def test_coordinate_blocks_match_one_broadcast_at_full_budget():
+    rng = np.random.default_rng(5)
+    for n, m, scale in [(400, 8, 1.0), (300, 3, 1e7), (1000, 1, 1e-6)]:
+        assert metric.BUDGET // (8 * n * m) < n // 2  # several blocks
+        c = rng.normal(size=(n, m)) * scale
+        assert _coord_matrix(c).tobytes() == coord_distances(c).tobytes()
+
+
+def test_coordinate_distances_memory_is_bounded():
+    n = 1000
+    c = np.random.default_rng(0).uniform(size=(n, 3))
+    tracemalloc.start()
+    try:
+        FiniteMetricSpace.from_coords(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one broadcast's (n, n, 3) difference array and its square are 48 MB
+    assert peak < 4 * 8 * n * n
 
 
 @pytest.fixture
@@ -361,7 +403,7 @@ def test_kernel_skipped_only_where_the_bound_allows(kernel_calls):
     c = np.random.default_rng(3).uniform(size=(60, 3))
     FiniteMetricSpace.from_coords(c)
     assert kernel_calls == []
-    d = _pairwise(c * 1e8)
+    d = coord_distances(c * 1e8)
     assert metric._rounding_bound(3, d.max()) > METRIC_TOL
     assert _outcome(lambda: FiniteMetricSpace.from_coords(c * 1e8)) == \
         _outcome(lambda: FiniteMetricSpace(d))
