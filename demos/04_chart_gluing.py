@@ -24,7 +24,7 @@ def main():
     }
     f = PointMap(space, space, np.arange(space.n))
 
-    blend = [x for x in range(space.n) if 0.0 < config.d(x) < config.mu]
+    blend = config.blend_zone
     atlas = build_gluing_atlas(space, space, blend, 3.0, pairs, pairs, g,
                                delta=0.3)
     print(f"{len(atlas.charts)} charts over the collar, "

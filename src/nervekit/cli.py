@@ -118,10 +118,9 @@ def cmd_glue(args) -> int:
             return 2
         f_img = list(range(src.n))
     f = PointMap(src, tgt, np.array(f_img, dtype=int))
-    blend_zone = [x for x in range(src.n) if 0.0 < config.d(x) < config.mu]
     try:
         atlas = build_gluing_atlas(
-            src, tgt, blend_zone, float(region_cfg["deltaR"]),
+            src, tgt, config.blend_zone, float(region_cfg["deltaR"]),
             [tuple(p) for p in region_cfg["source_pairs"]],
             [tuple(p) for p in region_cfg["target_pairs"]],
             g, delta=region_cfg.get("delta", 0.1),

@@ -116,7 +116,5 @@ class CylinderSpace:
         supp = theta.support
         if not self.nerve.contains(supp):
             raise MetricError(f"support {sorted(supp)} is not a nerve simplex")
-        base = min(
-            frozenset.intersection(*[self.cover.sets[j] for j in supp])
-        )
+        base = int(self.cover.member[:, sorted(supp)].all(axis=1).argmax())
         return CylinderPoint(theta, ConePoint(base, self.L))

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, _check_points, _nn_spacing
 
 BETWEEN_TOL = 1e-9
 
@@ -23,8 +24,10 @@ class Cover:
 
     Sets model open sets of the underlying space; "open" on a finite sample
     means strict-inequality ball membership.  Construction checks that the
-    sets cover, that each center belongs to its set, and (when a multiplicity
-    bound is given) that no point lies in more sets than allowed.
+    members are points, that the sets cover, that each center belongs to its
+    set, and (when a multiplicity bound is given) that no point lies in more
+    sets than allowed.  ``member`` is the read-only n x m boolean matrix of
+    point x in set j; not a field, so equality and JSON stay about the sets.
     """
 
     space: FiniteMetricSpace
@@ -39,53 +42,65 @@ class Cover:
         object.__setattr__(self, "centers", tuple(int(c) for c in self.centers))
         if len(sets) != len(self.centers):
             raise CoverError("need exactly one center per set")
+        if self.radius_hint is not None:
+            hints = tuple(float(r) for r in self.radius_hint)
+            if len(hints) != len(sets):
+                raise CoverError(f"{len(sets)} sets but {len(hints)} radius hints")
+            object.__setattr__(self, "radius_hint", hints)
         if any(not s for s in sets):
             raise CoverError("cover sets must be nonempty")
+        n = self.space.n
+        member = np.zeros((n, len(sets)), dtype=bool)
         for j, (s, c) in enumerate(zip(sets, self.centers)):
+            # checked first: a member -1 would silently mark the last point
+            _check_points(s, n, f"set {j} member", CoverError)
             if c not in s:
                 raise CoverError(f"center {c} of set {j} is not a member")
-        union = frozenset().union(*sets)
-        if union != frozenset(range(self.space.n)):
-            missing = sorted(set(range(self.space.n)) - union)
-            raise CoverError(f"points not covered: {missing[:10]}")
+            member[list(s), j] = True
+        member.setflags(write=False)
+        object.__setattr__(self, "member", member)
+        covered = member.any(axis=1)
+        if not covered.all():
+            raise CoverError(f"points not covered: {np.flatnonzero(~covered)[:10].tolist()}")
         if self.multiplicity_bound is not None:
-            mult = self.multiplicities()
-            if mult.max() > self.multiplicity_bound:
-                raise CoverError(
-                    f"multiplicity {mult.max()} exceeds bound {self.multiplicity_bound}"
-                )
-        if self.radius_hint is not None:
-            object.__setattr__(
-                self, "radius_hint", tuple(float(r) for r in self.radius_hint)
-            )
-        # member bitsets, bit x set when point x is in the set (Python ints:
-        # numpy integers would wrap past bit 63); kept out of the dataclass
-        # fields so equality and JSON stay about the sets
-        object.__setattr__(
-            self, "_masks", tuple(sum(1 << int(x) for x in s) for s in sets)
-        )
+            top = member.sum(axis=1).max()
+            if top > self.multiplicity_bound:
+                raise CoverError(f"multiplicity {top} exceeds bound {self.multiplicity_bound}")
+        # the columns of member as bitsets, bit x set when point x is in the
+        # set (Python ints: numpy integers would wrap past bit 63)
+        packed = np.packbits(member.T, axis=1, bitorder="little")
+        object.__setattr__(self, "_masks", tuple(
+            int.from_bytes(row.tobytes(), "little") for row in packed))
 
     @property
     def n_sets(self) -> int:
         return len(self.sets)
 
     def multiplicities(self) -> np.ndarray:
-        mult = np.zeros(self.space.n, dtype=int)
-        for s in self.sets:
-            mult[list(s)] += 1
-        return mult
+        return self.member.sum(axis=1)
 
     def membership(self, x: int) -> frozenset:
         """Indices of the sets containing x."""
-        return frozenset(j for j, s in enumerate(self.sets) if x in s)
+        _check_points([x], self.space.n, "point", CoverError)
+        return frozenset(np.flatnonzero(self.member[x]).tolist())
 
     def mesh(self) -> float:
         """Largest set diameter."""
         out = 0.0
-        for s in self.sets:
-            idx = sorted(s)
-            if len(idx) > 1:
-                out = max(out, float(self.space.dist[np.ix_(idx, idx)].max()))
+        for idx in map(np.flatnonzero, self.member.T):
+            out = max(out, float(self.space.dist[np.ix_(idx, idx)].max()))
+        return out
+
+    @cached_property
+    def clearance(self) -> np.ndarray:
+        """Read-only n x m matrix of the distance from each member of set j
+        to the complement of set j, by one masked min over columns per set;
+        inf for a whole-space set.  Entries off the set are inf as well and
+        carry no meaning."""
+        out = np.full(self.member.shape, np.inf)
+        for j, inside in enumerate(self.member.T):
+            out[inside, j] = self.space.dist[np.ix_(inside, ~inside)].min(axis=1, initial=np.inf)
+        out.setflags(write=False)
         return out
 
     def to_json(self) -> dict:
@@ -116,15 +131,19 @@ class Cover:
             return cls.from_json(space, json.load(fh))
 
 
-def greedy_net(space: FiniteMetricSpace, separation: float, seed: int = 0):
-    """Maximal separation-separated subset, greedy in a seeded order."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(space.n)
+def _net(space: FiniteMetricSpace, order, separation: float) -> list:
+    """The points of order, taken in turn, that lie at least separation from
+    every point taken before them."""
     net = []
     for x in order:
-        if all(space.dist[x, y] >= separation for y in net):
+        if (space.dist[x, net] >= separation).all():
             net.append(int(x))
     return net
+
+
+def greedy_net(space: FiniteMetricSpace, separation: float, seed: int = 0):
+    """Maximal separation-separated subset, greedy in a seeded order."""
+    return _net(space, np.random.default_rng(seed).permutation(space.n), separation)
 
 
 def build_ball_cover(space: FiniteMetricSpace, radius: float, seed: int = 0) -> Cover:
@@ -172,23 +191,6 @@ def _index_levels(cover: Cover, max_order: int):
     yield level
 
 
-def _clearances(cover: Cover) -> np.ndarray:
-    """n x m matrix of the distance from each member of set j to the
-    complement of set j, by one masked min over columns per set; inf for a
-    whole-space set.  Entries off the set are inf as well and carry no
-    meaning."""
-    dist = cover.space.dist
-    n = cover.space.n
-    out = np.full((n, cover.n_sets), np.inf)
-    for j, s in enumerate(cover.sets):
-        if len(s) < n:
-            inside = np.zeros(n, dtype=bool)
-            inside[list(s)] = True
-            members = np.flatnonzero(inside)
-            out[members, j] = dist[np.ix_(members, ~inside)].min(axis=1)
-    return out
-
-
 def intersections(cover: Cover, max_order: int):
     """All nonempty intersections of at most max_order sets.
 
@@ -201,27 +203,23 @@ def intersections(cover: Cover, max_order: int):
     """
     if max_order < 1:
         raise CoverError("max_order must be >= 1")
-    n = cover.space.n
-    nbytes = (n + 7) // 8
-    clearance = _clearances(cover)
+    clearance = cover.clearance
     records = []
     for order, level in enumerate(_index_levels(cover, max_order), start=1):
-        indices, _bits, masks = zip(*level)
+        indices = [idx for idx, _bits, _members in level]
         if order == 1:
             records.extend(
                 IntersectionRecord(frozenset(idx), cover.sets[idx[0]], cover.centers[idx[0]])
                 for idx in indices
             )
             continue
-        packed = np.frombuffer(
-            b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype=np.uint8
-        ).reshape(len(masks), nbytes)
-        rows, points = np.nonzero(
-            np.unpackbits(packed, axis=1, count=n, bitorder="little")
-        )
+        sets = np.array(indices)
+        inside = cover.member[:, sets[:, 0]]
+        for t in range(1, order):
+            inside &= cover.member[:, sets[:, t]]
+        rows, points = np.nonzero(inside.T)
         # the complement of an intersection is the union of the sets'
         # complements, so a member's clearance is its least per-set clearance
-        sets = np.array(indices)
         clear = clearance[points, sets[rows, 0]]
         for t in range(1, order):
             clear = np.minimum(clear, clearance[points, sets[rows, t]])
@@ -292,15 +290,6 @@ def _star_shaped(space: FiniteMetricSpace, members: frozenset, center: int) -> b
     return set(np.flatnonzero(between.any(axis=0)).tolist()) <= members
 
 
-def _proxy_scale(space: FiniteMetricSpace, members) -> float:
-    idx = sorted(members)
-    if len(idx) == 1:
-        return 1.0
-    sub = space.dist[np.ix_(idx, idx)].copy()
-    np.fill_diagonal(sub, np.inf)
-    return 2.0 * float(sub.min(axis=1).max())
-
-
 def goodness_report(cover: Cover, max_order: int = 8) -> GoodnessReport:
     """Star-shapedness plus proxy Betti numbers for each intersection.
 
@@ -317,9 +306,10 @@ def goodness_report(cover: Cover, max_order: int = 8) -> GoodnessReport:
         proxy = proxies.get(rec.members)
         if proxy is None:
             idx = sorted(rec.members)
-            scale = _proxy_scale(cover.space, rec.members)
-            sub = FiniteMetricSpace(cover.space.dist[np.ix_(idx, idx)])
-            ranks = betti(vr_complex(sub, scale, max_dim=3), max_dim=2).ranks
+            sub = cover.space.dist[np.ix_(idx, idx)]
+            scale = 2.0 * _nn_spacing(sub) if len(idx) > 1 else 1.0
+            ranks = betti(vr_complex(FiniteMetricSpace(sub), scale, max_dim=3),
+                          max_dim=2).ranks
             proxy = proxies[rec.members] = (scale, ranks)
         scale, ranks = proxy
         key = (rec.members, rec.center)

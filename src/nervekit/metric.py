@@ -138,6 +138,24 @@ def _csv_cell(value: str, i: int, j: int) -> float:
         raise MetricError(f"non-numeric entry at ({i},{j}): {value!r}") from None
 
 
+def _check_points(values, n: int, what: str, error=MetricError):
+    """Raise ``error`` naming the first of ``values`` that is not an integer
+    point index in [0, n); a bool is not one."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < n:
+            raise error(f"{what} {v!r} is not a point index in [0, {n})")
+
+
+def _nn_spacing(d: np.ndarray) -> float:
+    """Largest nearest-neighbour distance in a distance matrix; 0.0 for one
+    point."""
+    if len(d) < 2:
+        return 0.0
+    off = d.copy()
+    np.fill_diagonal(off, np.inf)
+    return float(off.min(axis=1).max())
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """A finite metric space given by a full distance matrix.
@@ -450,6 +468,7 @@ def check_strainer(space: FiniteMetricSpace, p: int, pairs, delta: float) -> Str
     ``worst_margin`` is the smallest slack over all inequalities; ``length``
     is the minimum distance from p to a strainer point.
     """
+    _check_points([p, *itertools.chain(*pairs)], space.n, "strainer point")
     margins = []
     m = len(pairs)
     for i, (a, b) in enumerate(pairs):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex import BarycentricPoint
-from .cover import Cover, CoverError, _clearances
+from .cover import Cover, CoverError
 from .metric import FiniteMetricSpace
 
 
@@ -23,7 +23,7 @@ class PartitionOfUnity:
     """Row-stochastic matrix of normalized weights, one row per point."""
 
     def __init__(self, cover: Cover):
-        clearance = _clearances(cover)
+        clearance = cover.clearance
         # a whole-space set's clearance is inf, never zero
         for j, c in enumerate(cover.centers):
             if clearance[c, j] == 0.0:
@@ -32,15 +32,11 @@ class PartitionOfUnity:
                     "from the complement; choose an interior center"
                 )
         self.cover = cover
-        dist = cover.space.dist
         # a whole-space set's infinite clearance reads as diam+1, so its
         # weight stays in (0, 1]; every other clearance is at most diam
         clearance = np.minimum(clearance, cover.space.diameter() + 1.0)
-        raw = np.zeros((cover.space.n, cover.n_sets))
-        for j, s in enumerate(cover.sets):
-            members = sorted(s)
-            comp = clearance[members, j]
-            raw[members, j] = comp / (comp + dist[members, cover.centers[j]])
+        to_center = cover.space.dist[:, list(cover.centers)]
+        raw = np.where(cover.member, clearance / (clearance + to_center), 0.0)
         totals = raw.sum(axis=1)
         if np.any(totals <= 0):
             missing = int(np.argmin(totals))

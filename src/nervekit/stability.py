@@ -9,12 +9,13 @@ strainer-chart coordinates and iterative cutoff gluing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .cover import Cover, CoverError, intersections
+from .cover import Cover, CoverError, _net, intersections
 from .metric import (ApproximationReport, FiniteMetricSpace, MetricError,
-                     PointMap, check_strainer)
+                     PointMap, _check_points, _nn_spacing, check_strainer)
 from .nerve import DEFAULT_MAX_DIM, nerve_of, require_full_nerve
 from .partition import PartitionOfUnity
 
@@ -61,10 +62,8 @@ def lift_cover(cover: Cover, approx: ApproximationReport,
     else:
         # measured radii sit exactly on the farthest member, so nudge them
         # past it to keep strict-ball membership
-        radii = tuple(
-            float(max(cover.space.dist[c, m] for m in s)) * (1.0 + 1e-9)
-            for c, s in zip(cover.centers, cover.sets)
-        )
+        reach = np.where(cover.member, cover.space.dist[:, list(cover.centers)], -np.inf)
+        radii = tuple(float(r) * (1.0 + 1e-9) for r in reach.max(axis=0))
     pad = 2.0 * max(approx.distortion, approx.defect)
     sets = tuple(
         target_space.ball(c, r + pad) for c, r in zip(centers, radii)
@@ -119,10 +118,7 @@ class EquivalenceReport:
 def almost_inverse(pmap: PointMap) -> PointMap:
     """Discrete near-inverse: each target point goes to the source point whose
     image lies closest."""
-    img = np.array([
-        int(np.argmin(pmap.target.dist[pmap.image, y]))
-        for y in range(pmap.target.n)
-    ])
+    img = np.argmin(pmap.target.dist[pmap.image], axis=0)
     return PointMap(pmap.target, pmap.source, img)
 
 
@@ -133,14 +129,9 @@ def _through_nerve(domain: Cover, codomain: Cover, max_dim: int):
     image lies in that union."""
     pou = PartitionOfUnity(domain)
     zeta = {rec.indices: rec.center for rec in intersections(codomain, max_dim + 1)}
-    img = np.zeros(domain.space.n, dtype=int)
-    membership_ok = True
-    for x in range(domain.space.n):
-        supp = pou.support(x)
-        img[x] = zeta[supp]
-        if not any(img[x] in codomain.sets[j] for j in supp):
-            membership_ok = False
-    return PointMap(domain.space, codomain.space, img), membership_ok
+    img = np.array([zeta[pou.support(x)] for x in range(domain.space.n)])
+    in_support = codomain.member[img] & (pou.values != 0)
+    return PointMap(domain.space, codomain.space, img), bool(in_support.any(axis=1).all())
 
 
 def homotopy_equivalence_via_nerves(lift: LiftedCover,
@@ -158,15 +149,9 @@ def homotopy_equivalence_via_nerves(lift: LiftedCover,
     psi = almost_inverse(phi)
 
     mesh = src.mesh()
-    disp_h = max(
-        float(src.space.dist[psi(y), h(y)]) for y in range(tgt.space.n)
-    )
-    disp_g = max(
-        float(tgt.space.dist[phi(x), g(x)]) for x in range(src.space.n)
-    )
-    disp_rt = max(
-        float(tgt.space.dist[phi(psi(y)), g(h(y))]) for y in range(tgt.space.n)
-    )
+    disp_h = float(src.space.dist[psi.image, h.image].max())
+    disp_g = float(tgt.space.dist[phi.image, g.image].max())
+    disp_rt = float(tgt.space.dist[phi.image[psi.image], g.image[h.image]].max())
     return EquivalenceReport(h, g, mesh, disp_h, disp_g, disp_rt, membership_ok)
 
 
@@ -205,16 +190,8 @@ class Chart:
         )
         true = space.dist[np.ix_(self.domain, self.domain)]
         self.distortion = float(np.abs(gaps - true).max())
-        if len(self.domain) > 1:
-            off = true.copy()
-            np.fill_diagonal(off, np.inf)
-            self.mesh_space = float(off.min(axis=1).max())
-            gaps_off = gaps.copy()
-            np.fill_diagonal(gaps_off, np.inf)
-            self.mesh_coords = float(gaps_off.min(axis=1).max())
-        else:
-            self.mesh_space = 0.0
-            self.mesh_coords = 0.0
+        self.mesh_space = _nn_spacing(true)
+        self.mesh_coords = _nn_spacing(gaps)
 
     def coord(self, x: int) -> np.ndarray:
         if x not in self._row:
@@ -244,37 +221,42 @@ class Chart:
 
 @dataclass(frozen=True)
 class GluingConfig:
-    """A closed domain D with its mu- and 2mu-neighborhoods."""
+    """A closed domain D with its mu- and 2mu-neighborhoods, all read from
+    every point's distance to D (mu everywhere for an empty D), measured once
+    at construction after checking D's points and mu."""
 
     space: FiniteMetricSpace
     D: frozenset
     mu: float
 
     def __post_init__(self):
-        if not self.D:
-            object.__setattr__(self, "D", frozenset())
-        else:
-            object.__setattr__(self, "D", frozenset(int(x) for x in self.D))
+        _check_points(self.D or (), self.space.n, "D point")
+        if not 0.0 < self.mu < np.inf:
+            raise MetricError(f"gluing mu must be positive and finite, got {self.mu}")
+        D = sorted(int(x) for x in self.D or ())
+        object.__setattr__(self, "D", frozenset(D))
+        to_D = self.space.dist[:, D].min(axis=1) if D else np.full(self.space.n, self.mu)
+        object.__setattr__(self, "_to_D", to_D)
 
     def dist_to_D(self, x: int) -> float:
-        if not self.D:
-            return self.mu
-        return float(self.space.dist[x, sorted(self.D)].min())
+        return float(self._to_D[x])
 
     def d(self, x: int) -> float:
         return min(self.dist_to_D(x), self.mu)
 
-    @property
+    @cached_property
     def D0(self) -> frozenset:
-        return frozenset(
-            x for x in range(self.space.n) if self.dist_to_D(x) <= self.mu
-        )
+        return frozenset(np.flatnonzero(self._to_D <= self.mu).tolist())
+
+    @cached_property
+    def D1(self) -> frozenset:
+        return frozenset(np.flatnonzero(self._to_D <= 2.0 * self.mu).tolist())
 
     @property
-    def D1(self) -> frozenset:
-        return frozenset(
-            x for x in range(self.space.n) if self.dist_to_D(x) <= 2.0 * self.mu
-        )
+    def blend_zone(self) -> list:
+        """Points at a distance strictly between 0 and mu from D, ascending:
+        where ``glue_maps`` blends."""
+        return np.flatnonzero((0.0 < self._to_D) & (self._to_D < self.mu)).tolist()
 
     @property
     def collar(self) -> frozenset:
@@ -301,18 +283,17 @@ class ChartAtlas:
     charts: tuple
     deltaR: float
 
+    def _to_centers(self, space: FiniteMetricSpace, region) -> np.ndarray:
+        """Distances from the points of region (rows) to the chart centers."""
+        return space.dist[np.ix_(list(region), [ch.center for ch in self.charts])]
+
     def covers(self, space: FiniteMetricSpace, region) -> bool:
-        return all(
-            any(ch.in_ball(space, x) for ch in self.charts) for x in region
-        )
+        halves = np.array([ch.radius / 2.0 for ch in self.charts])
+        return bool((self._to_centers(space, region) < halves).any(axis=1).all())
 
     def multiplicity(self, space: FiniteMetricSpace, region) -> int:
-        if not region:
-            return 0
-        return max(
-            sum(1 for ch in self.charts if space.dist[x, ch.center] < 2.0 * self.deltaR)
-            for x in region
-        )
+        near = self._to_centers(space, region) < 2.0 * self.deltaR
+        return int(near.sum(axis=1).max()) if len(near) else 0
 
 
 def build_gluing_atlas(source: FiniteMetricSpace, target: FiniteMetricSpace,
@@ -320,12 +301,8 @@ def build_gluing_atlas(source: FiniteMetricSpace, target: FiniteMetricSpace,
                        g_partial: dict, delta: float = 0.1) -> ChartAtlas:
     """Charts over a maximal (deltaR/2)-separated family of collar points,
     with target charts planted at the almost-isometric images."""
-    centers = []
-    for x in sorted(region):
-        if all(source.dist[x, c] >= deltaR / 2.0 for c in centers):
-            centers.append(x)
     charts = []
-    for c in centers:
+    for c in _net(source, sorted(region), deltaR / 2.0):
         charts.append(
             GluingChart(
                 center=c,
@@ -384,8 +361,7 @@ def glue_maps(f: PointMap, g: dict, config: GluingConfig, atlas: ChartAtlas):
         if x not in g:
             raise MetricError(f"partial map g is undefined at {x} in D1")
     collar = config.collar
-    blend_zone = [x for x in range(space.n) if 0.0 < config.d(x) < config.mu]
-    if blend_zone and not atlas.covers(space, blend_zone):
+    if not atlas.covers(space, config.blend_zone):
         raise MetricError("charts do not cover the gluing collar")
 
     out = np.zeros(space.n, dtype=int)
@@ -413,20 +389,21 @@ def glue_maps(f: PointMap, g: dict, config: GluingConfig, atlas: ChartAtlas):
 def default_rho(config: GluingConfig):
     """Cutoff for homotopy gluing: 0 on D always and on the mu-neighborhood
     for late times, 1 outside the 2mu-neighborhood."""
-    d0 = config.D0
+    d0 = sorted(config.D0)  # never empty: it holds D, or every point when D is empty
+    s1 = np.minimum(config.space.dist[:, d0].min(axis=1) / config.mu, 1.0)
+    # a point of D0 lies at distance 0 from it, but a distance allowed within
+    # METRIC_TOL below 0 would make its cutoff negative
+    s1[d0] = 0.0
+    s0 = np.minimum(config._to_D / config.mu, 1.0)
 
     def rho(x: int, t: float) -> float:
-        s1 = 0.0 if x in d0 else min(
-            min(float(config.space.dist[x, y]) for y in sorted(d0)) / config.mu, 1.0
-        ) if d0 else 1.0
-        s0 = min(config.dist_to_D(x) / config.mu, 1.0) if config.D else 1.0
         if t >= 0.5:
             ramp = 0.0
         elif t <= 0.25:
             ramp = 1.0
         else:
             ramp = (0.5 - t) * 4.0
-        return max(s1, s0 * ramp)
+        return max(float(s1[x]), float(s0[x]) * ramp)
 
     return rho
 

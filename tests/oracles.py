@@ -4,12 +4,15 @@ per-point cutoff weights of the partition of unity, dense GF(2) homology,
 Vietoris-Rips cliques, star-shapedness, the goodness report, tree
 distances, the cylinder retraction replayed once per grid value, the
 gather-based greedy Gromov-Hausdorff matching, the triangle check by one
-broadcast per 32-row block and Euclidean distances by one broadcast.  The
-tests compare nervekit's bitset cover core, its linear complex checks,
+broadcast per 32-row block, Euclidean distances by one broadcast, and the
+per-point and per-set membership scans of covers, of the gluing domain and
+its neighborhoods, of chart atlases and of the stability maps.  The tests
+compare nervekit's bitset cover core, its linear complex checks,
 ``PartitionOfUnity``, its sparse homology core, ``goodness_report``,
 ``tree_space``, ``full_cylinder_retraction``, ``gh_distance_bound``, the
-metric validation kernel and ``FiniteMetricSpace.from_coords`` against
-them."""
+metric validation kernel, ``FiniteMetricSpace.from_coords``, the cover's
+membership matrix and clearances, ``GluingConfig``, ``default_rho``,
+``ChartAtlas`` and the stability maps against them."""
 import itertools
 import math
 
@@ -18,7 +21,7 @@ import numpy as np
 from nervekit.cone import ConePoint, CylinderPoint
 from nervekit.complex import ComplexError, combine
 from nervekit.cover import (BETWEEN_TOL, GoodnessEntry, GoodnessReport,
-                            IntersectionRecord, _proxy_scale)
+                            IntersectionRecord)
 from nervekit.homology import BettiVector, vr_complex
 from nervekit.metric import FiniteMetricSpace, MetricError, _map_epsilon
 from nervekit.retraction import (DeformationTrace, TraceStage,
@@ -226,13 +229,24 @@ def star_shaped(space, members, center):
     return True
 
 
+def proxy_scale(space, members):
+    """Twice the largest nearest-neighbour distance among the members; 1.0
+    for a single member."""
+    idx = sorted(members)
+    if len(idx) == 1:
+        return 1.0
+    sub = space.dist[np.ix_(idx, idx)].copy()
+    np.fill_diagonal(sub, np.inf)
+    return 2.0 * float(sub.min(axis=1).max())
+
+
 def goodness_report(cover, max_order):
     """The goodness report computed afresh for every record, with dense
     Betti numbers."""
     entries = []
     for rec in intersections(cover, max_order):
         idx = sorted(rec.members)
-        scale = _proxy_scale(cover.space, rec.members)
+        scale = proxy_scale(cover.space, rec.members)
         sub = FiniteMetricSpace(cover.space.dist[np.ix_(idx, idx)])
         ranks = betti(vr_complex(sub, scale, max_dim=3), max_dim=2).ranks
         entries.append(GoodnessEntry(
@@ -358,3 +372,156 @@ def coord_distances(c):
     """Euclidean distances of the rows of ``c`` by one (n, n, m) broadcast."""
     diff = c[:, None, :] - c[None, :, :]
     return np.sqrt((diff**2).sum(axis=2))
+
+
+def clearances(cover):
+    """n x m clearance matrix set by set, as a mask over the set's points:
+    inf off the set and for a whole-space set."""
+    dist = cover.space.dist
+    n = cover.space.n
+    out = np.full((n, cover.n_sets), np.inf)
+    for j, s in enumerate(cover.sets):
+        if len(s) < n:
+            inside = np.zeros(n, dtype=bool)
+            inside[list(s)] = True
+            members = np.flatnonzero(inside)
+            out[members, j] = dist[np.ix_(members, ~inside)].min(axis=1)
+    return out
+
+
+def multiplicities(cover):
+    """Number of sets holding each point, one set at a time."""
+    mult = np.zeros(cover.space.n, dtype=int)
+    for s in cover.sets:
+        mult[list(s)] += 1
+    return mult
+
+
+def membership(cover, x):
+    """Indices of the sets containing x, by a scan of the sets."""
+    return frozenset(j for j, s in enumerate(cover.sets) if x in s)
+
+
+def mesh(cover):
+    """Largest set diameter, set by set."""
+    out = 0.0
+    for s in cover.sets:
+        idx = sorted(s)
+        if len(idx) > 1:
+            out = max(out, float(cover.space.dist[np.ix_(idx, idx)].max()))
+    return out
+
+
+def measured_radii(cover):
+    """Per set, the largest distance from its center to a member, nudged
+    past it as ``lift_cover`` does without radius hints."""
+    return tuple(
+        float(max(cover.space.dist[c, m] for m in s)) * (1.0 + 1e-9)
+        for c, s in zip(cover.centers, cover.sets)
+    )
+
+
+def greedy_net(space, separation, seed):
+    """The seeded greedy net, one comparison per placed point."""
+    order = np.random.default_rng(seed).permutation(space.n)
+    net = []
+    for x in order:
+        if all(space.dist[x, y] >= separation for y in net):
+            net.append(int(x))
+    return net
+
+
+def atlas_centers(space, region, deltaR):
+    """The chart centers of ``build_gluing_atlas``: a greedy
+    (deltaR/2)-separated family of the region in ascending order."""
+    centers = []
+    for x in sorted(region):
+        if all(space.dist[x, c] >= deltaR / 2.0 for c in centers):
+            centers.append(x)
+    return centers
+
+
+def dist_to_D(config, x):
+    """Distance from x to D by a scan of D; mu when D is empty."""
+    if not config.D:
+        return config.mu
+    return float(config.space.dist[x, sorted(config.D)].min())
+
+
+def d(config, x):
+    return min(dist_to_D(config, x), config.mu)
+
+
+def D0(config):
+    return frozenset(
+        x for x in range(config.space.n) if dist_to_D(config, x) <= config.mu)
+
+
+def D1(config):
+    return frozenset(
+        x for x in range(config.space.n) if dist_to_D(config, x) <= 2.0 * config.mu)
+
+
+def blend_zone(config):
+    return [x for x in range(config.space.n) if 0.0 < d(config, x) < config.mu]
+
+
+def rho(config, x, t):
+    """The homotopy-gluing cutoff at (x, t), with a Python min over D0 for
+    every call."""
+    d0 = D0(config)
+    s1 = 0.0 if x in d0 else min(
+        min(float(config.space.dist[x, y]) for y in sorted(d0)) / config.mu, 1.0
+    ) if d0 else 1.0
+    s0 = min(dist_to_D(config, x) / config.mu, 1.0) if config.D else 1.0
+    if t >= 0.5:
+        ramp = 0.0
+    elif t <= 0.25:
+        ramp = 1.0
+    else:
+        ramp = (0.5 - t) * 4.0
+    return max(s1, s0 * ramp)
+
+
+def atlas_covers(atlas, space, region):
+    """Every point of region lies in the half-radius ball of some chart."""
+    return all(
+        any(float(space.dist[x, ch.center]) < ch.radius / 2.0 for ch in atlas.charts)
+        for x in region
+    )
+
+
+def atlas_multiplicity(atlas, space, region):
+    """Most charts within 2 deltaR of a point of region; 0 for none."""
+    if not region:
+        return 0
+    return max(
+        sum(1 for ch in atlas.charts if space.dist[x, ch.center] < 2.0 * atlas.deltaR)
+        for x in region
+    )
+
+
+def almost_inverse_image(pmap):
+    """Per target point, the first source point whose image lies closest."""
+    return np.array([
+        int(np.argmin(pmap.target.dist[pmap.image, y]))
+        for y in range(pmap.target.n)
+    ])
+
+
+def displacements(src_space, tgt_space, phi, psi, g, h):
+    """disp_h, disp_g and disp_roundtrip of the equivalence report, one
+    point at a time."""
+    disp_h = max(float(src_space.dist[psi(y), h(y)]) for y in range(tgt_space.n))
+    disp_g = max(float(tgt_space.dist[phi(x), g(x)]) for x in range(src_space.n))
+    disp_rt = max(
+        float(tgt_space.dist[phi(psi(y)), g(h(y))]) for y in range(tgt_space.n))
+    return disp_h, disp_g, disp_rt
+
+
+def through_nerve_membership(pou, image, codomain):
+    """Whether every point's image lies in a set of its support."""
+    return all(
+        any(int(image[x]) in codomain.sets[j] for j in pou.support(x))
+        for x in range(len(image))
+    )

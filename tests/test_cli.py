@@ -164,3 +164,57 @@ def test_reports_are_deterministic(tmp_path, circle_files):
         ])
         outs.append((out.read_bytes(), report.read_bytes()))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("bad", [8, -1])
+def test_nerve_rejects_cover_member_outside_the_space(tmp_path, capsys, bad):
+    sp = circle_space(8)
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(sp.to_json()))
+    cover_path = tmp_path / "cover.json"
+    cover_path.write_text(json.dumps(
+        {"sets": [list(range(8)), [0, bad]], "centers": [0, 0]}))
+    code = main(["nerve", str(space_path), str(cover_path),
+                 "--out", str(tmp_path / "nerve.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"set 1 member {bad} is not a point index in [0, 8)\n")
+
+
+def test_stability_rejects_radius_hint_of_wrong_length(tmp_path, capsys):
+    cov = three_arc_cover(32)
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(cov.space.to_json()))
+    obj = cov.to_json()
+    obj["radius_hint"] = obj["radius_hint"][:2]
+    cover_path = tmp_path / "cover.json"
+    cover_path.write_text(json.dumps(obj))
+    code = main(["stability", str(space_path), str(space_path), str(cover_path),
+                 "--epsilon", str(cov.mesh() / 8.0)])
+    assert code == 2
+    assert capsys.readouterr().err == "3 sets but 2 radius hints\n"
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"D": [40, 85]}, "D point 85 is not a point index in [0, 85)"),
+    ({"D": [40, -1]}, "D point -1 is not a point index in [0, 85)"),
+    ({"mu": 0}, "mu must be positive and finite, got 0.0"),
+    ({"mu": -1}, "mu must be positive and finite, got -1.0"),
+    ({"source_pairs": [[81, 82], [83, 85]]},
+     "strainer point 85 is not a point index in [0, 85)"),
+])
+def test_glue_rejects_malformed_region(tmp_path, capsys, change, message):
+    space, pairs = grid_with_strainers(9)
+    space_path = tmp_path / "patch.json"
+    space_path.write_text(json.dumps(space.to_json()))
+    region = {"D": [30, 31, 39, 40, 41, 49, 50], "mu": 2.0, "deltaR": 3.0,
+              "g": {str(x): x for x in range(space.n)},
+              "source_pairs": [list(p) for p in pairs],
+              "target_pairs": [list(p) for p in pairs], "delta": 0.3}
+    region.update(change)
+    region_path = tmp_path / "region.json"
+    region_path.write_text(json.dumps(region))
+    code = main(["glue", str(space_path), str(space_path),
+                 "--region", str(region_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err

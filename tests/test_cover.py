@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from conftest import octahedral_cover, three_arc_cover
-from nervekit.cover import (Cover, CoverError, _clearances, build_ball_cover,
+from nervekit.cover import (Cover, CoverError, build_ball_cover,
                             goodness_report, greedy_net, intersections)
 from nervekit.samples import circle_space, circle_spacing, line_space
 
@@ -54,7 +54,7 @@ def test_build_ball_cover_rejects_bad_radius():
 
 def test_membership_and_complement_distance():
     cov = three_arc_cover()
-    clearance = _clearances(cov)
+    clearance = cov.clearance
     for x in range(cov.space.n):
         mem = cov.membership(x)
         assert mem, f"point {x} uncovered"
@@ -67,7 +67,7 @@ def test_whole_space_set_complement_distance():
     sp = line_space(3)
     cov = Cover(sp, (frozenset({0, 1, 2}),), (1,))
     assert oracles.complement_distance(cov, 0, 0) == sp.diameter() + 1.0
-    assert _clearances(cov)[0, 0] == np.inf
+    assert cov.clearance[0, 0] == np.inf
 
 
 def test_three_arc_intersections_orders():
@@ -129,3 +129,24 @@ def test_mesh_is_max_set_diameter():
         cov.space.dist[np.ix_(sorted(s), sorted(s))].max() for s in cov.sets
     )
     assert cov.mesh() == float(expected)
+
+
+@pytest.mark.parametrize("bad", [4, -1, 1.5, True, "2"])
+def test_cover_rejects_member_outside_the_space(bad):
+    sp = line_space(4)
+    with pytest.raises(CoverError, match=f"set 1 member {bad!r} is not a point"):
+        Cover(sp, (frozenset({0, 1, 2, 3}), frozenset({2, bad})), (0, 2))
+
+
+def test_cover_rejects_radius_hint_of_wrong_length():
+    sp = line_space(4)
+    sets = (frozenset({0, 1}), frozenset({1, 2, 3}))
+    with pytest.raises(CoverError, match="2 sets but 1 radius hint"):
+        Cover(sp, sets, (0, 2), radius_hint=(1.5,))
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_membership_rejects_point_outside_the_space(bad):
+    cov = Cover(line_space(4), (frozenset({0, 1}), frozenset({1, 2, 3})), (0, 2))
+    with pytest.raises(CoverError, match=f"point {bad} is not a point index"):
+        cov.membership(bad)

@@ -303,3 +303,24 @@ def test_glue_homotopies_blend_in_source_charts():
     G = glue_homotopies(F, H, config, scaled_atlas, t_grid)
     assert np.array_equal(G, glue_homotopies(F, H, config, atlas, t_grid))
     assert any(G[x, 4] != x for x in config.collar - config.D)
+
+
+@pytest.mark.parametrize("bad", [85, 200, -1])
+def test_gluing_config_rejects_domain_point_outside_the_space(bad):
+    space, _ = _patch()
+    with pytest.raises(MetricError, match=f"D point {bad} is not a point"):
+        GluingConfig(space, frozenset({40, bad}), 2.0)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.inf, math.nan])
+def test_gluing_config_rejects_bad_mu(mu):
+    space, _ = _patch()
+    with pytest.raises(MetricError, match=f"mu must be positive and finite, got {mu}"):
+        GluingConfig(space, frozenset({40}), mu)
+
+
+@pytest.mark.parametrize("bad", [200, -1])
+def test_strainer_check_rejects_point_outside_the_space(bad):
+    space, pairs = _patch()
+    with pytest.raises(MetricError, match=f"strainer point {bad} is not a point"):
+        Chart(space, 40, [pairs[0], (pairs[1][0], bad)], radius=3.0)

@@ -1,0 +1,280 @@
+"""Check that this checkout's ``src/`` computes what a git ref's ``src/`` does.
+
+    python3 tools/parity.py REF
+
+exports REF's ``src/`` with ``git archive``, then runs that tree and this
+checkout's ``src/`` each in a fresh process on the same fixed, seeded
+inputs, in an emptied temporary directory under the same relative paths, so
+that the ``config`` of CLI reports matches byte for byte and the digests
+do not depend on where the directory is.  Each run hashes every component
+with sha256:
+
+- ``maps``, seeds 1 and 2, on the benchmark's inputs (``perfbench/workloads.py``):
+  the JSON of all 3,000 cylinder retraction traces, the equivalence report,
+  the GH bracket, the glued map and the glued homotopy
+- ``sphere-nerve``, seeds 1 and 2: the partition of unity's bytes, the
+  nerve and its maximal simplices, the verify report, and the cover's
+  intersections, multiplicities, mesh and memberships
+- ``sphere-goodness``, seeds 1 and 2: the bytes of the CLI ``cover`` report
+- CLI ``cover``, ``nerve``, ``verify``, ``gh``, ``stability`` and ``glue``
+  on well-formed inputs, accepted and rejected: exit code, stderr and the
+  bytes of every file written
+
+It prints one line per component with both digests and exits 1 when any
+differs (or is missing on one side), 0 otherwise.
+"""
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.abspath(os.path.join(HERE, os.pardir))
+SEEDS = (1, 2)
+
+
+def _sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True)
+
+
+def _array(a) -> bytes:
+    import numpy as np
+
+    a = np.ascontiguousarray(a)
+    return f"{a.dtype.str}{a.shape}".encode() + a.tobytes()
+
+
+def _maps(seed: int, workdir: str, out: dict):
+    import nervekit as nk
+    from perfbench.workloads import Maps
+
+    workload = Maps(seed, workdir)
+    inp = workload.first
+    tag = f"maps/seed{seed}"
+    _cover, cyl, cons = workload._cylinder(inp["octa"])
+    traces = hashlib.sha256()
+    for p in inp["points"]:
+        trace = nk.retraction.full_cylinder_retraction(cyl, cons, p)
+        traces.update(_json(trace.to_json()).encode() + b"\n")
+    out[f"{tag}/traces"] = traces.hexdigest()
+    res = workload.run(inp)
+    out[f"{tag}/equivalence"] = _sha(_json(res["equivalence"].to_json()))
+    out[f"{tag}/gh_bracket"] = _sha(repr(res["gh"]))
+    out[f"{tag}/glued_map"] = _sha(_array(res["glued"]))
+    out[f"{tag}/glued_homotopy"] = _sha(_array(res["homotopy"]))
+
+
+def _sphere_nerve(seed: int, workdir: str, out: dict):
+    import nervekit as nk
+    from perfbench.workloads import COVER_RADIUS, SphereNerve
+
+    workload = SphereNerve(seed, workdir)
+    inp = workload.first
+    tag = f"sphere-nerve/seed{seed}"
+    res = workload.run(inp)
+    out[f"{tag}/pou"] = _sha(_array(res["pou"]))
+    out[f"{tag}/nerve"] = _sha(_json(res["nerve"].to_json()))
+    out[f"{tag}/maximal"] = _sha(_json(res["maximal"]))
+    out[f"{tag}/verify"] = _sha(_json(res["verify"].to_json()))
+
+    space = nk.metric.FiniteMetricSpace.from_coords(inp["coords"])
+    cover = nk.cover.build_ball_cover(space, COVER_RADIUS, seed=inp["cover_seed"])
+    records = [(sorted(r.indices), sorted(r.members), r.center)
+               for r in nk.cover.intersections(cover, res["multiplicity"])]
+    out[f"{tag}/intersections"] = _sha(_json(records))
+    out[f"{tag}/multiplicities"] = _sha(_array(cover.multiplicities()))
+    out[f"{tag}/mesh"] = _sha(repr(cover.mesh()))
+    out[f"{tag}/membership"] = _sha(_json([sorted(cover.membership(x))
+                                           for x in range(space.n)]))
+
+
+def _sphere_goodness(seed: int, workdir: str, out: dict):
+    from perfbench.workloads import SphereGoodness
+
+    workload = SphereGoodness(seed, workdir)
+    res = workload.run(workload.first)
+    report, _sets = SphereGoodness.read(res)
+    out[f"sphere-goodness/seed{seed}/report"] = _sha(bytes([res["code"]]) + report)
+
+
+def _cli_inputs(workdir: str) -> dict:
+    """Spaces, covers and gluing regions for the CLI runs, as files."""
+    import math
+
+    import numpy as np
+
+    import nervekit as nk
+    import nervekit.samples  # noqa: F401  (not loaded by the package)
+
+    paths = {}
+
+    def write(name, obj):
+        paths[name] = os.path.join(workdir, name)
+        with open(paths[name], "w") as fh:
+            json.dump(obj, fh)
+
+    circle = nk.samples.circle_space(32)
+    write("circle.json", circle.to_json())
+    rng = np.random.default_rng(7)
+    ang = 2.0 * np.pi * np.arange(32) / 32
+    coords = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    jitter = coords + rng.uniform(-0.01, 0.01, size=coords.shape)
+    write("jittered.json", {"coords": jitter.tolist()})
+    r = 2.0 * math.sin(math.radians(35.0))
+    centers = (0, 10, 21)
+    arcs = nk.cover.Cover(circle, tuple(circle.ball(c, r) for c in centers), centers,
+                          radius_hint=(r, r, r))
+    write("arcs.json", arcs.to_json())
+    measured = arcs.to_json()
+    del measured["radius_hint"]
+    write("arcs-measured.json", measured)
+    octa = nk.samples.octahedron_space(60)
+    write("octa.json", octa.to_json())
+    write("octa-cover.json", nk.cover.Cover(
+        octa, tuple(octa.ball(c, 1.1) for c in range(6)), tuple(range(6))).to_json())
+    paths["mesh"] = arcs.mesh()
+
+    m = 9
+    grid, pairs = nk.samples.grid_with_strainers(m)
+    write("grid.json", grid.to_json())
+    D = [i * m + j for i in range(3, 6) for j in range(3, 6)]
+    near = np.flatnonzero(grid.dist[:, D].min(axis=1) <= 4.0).tolist()
+    region = {"D": D, "mu": 2.0, "deltaR": 3.0, "g": {str(x): x for x in near},
+              "source_pairs": [list(p) for p in pairs],
+              "target_pairs": [list(p) for p in pairs], "delta": 0.3}
+    write("region.json", region)
+    shifted = dict(region, g={str(x): x + 1 if x < m * m and x % m < m - 1 else x
+                              for x in near})
+    write("region-shifted.json", shifted)
+    write("region-coarse.json", dict(region, deltaR=0.5))
+    return paths
+
+
+def _cli(workdir: str, out: dict):
+    import nervekit.cli
+
+    p = _cli_inputs(workdir)
+    mesh = p["mesh"]
+
+    def at(name):
+        return os.path.join(workdir, name)
+
+    def read(name):
+        with open(at(name), "rb") as fh:
+            return name.encode() + b"\0" + fh.read()
+
+    runs = {
+        "cover": ["cover", p["circle.json"], "--radius", "0.9", "--seed", "1",
+                  "--out", at("out-cover.json"), "--report", at("out-report.json")],
+        "cover-octa": ["cover", p["octa.json"], "--radius", "1.2", "--seed", "2",
+                       "--max-order", "4", "--out", at("out-cover.json"),
+                       "--report", at("out-report.json")],
+        "nerve": ["nerve", p["circle.json"], p["arcs.json"], "--out", at("out-nerve.json")],
+        "nerve-octa": ["nerve", p["octa.json"], p["octa-cover.json"], "--max-dim", "2",
+                       "--out", at("out-nerve.json")],
+        "verify": ["verify", p["circle.json"], p["arcs.json"], "--vr-scale", "0.6",
+                   "--max-dim", "2", "--out", at("out-verify.json")],
+        "verify-octa": ["verify", p["octa.json"], p["octa-cover.json"], "--vr-scale", "0.6",
+                        "--out", at("out-verify.json")],
+        "gh": ["gh", p["circle.json"], p["jittered.json"], "--trials", "4",
+               "--out", at("out-gh.json")],
+        "stability": ["stability", p["circle.json"], p["jittered.json"], p["arcs.json"],
+                      "--epsilon", str(mesh / 8.0), "--out", at("out-stability.json")],
+        "stability-measured": ["stability", p["circle.json"], p["circle.json"],
+                               p["arcs-measured.json"], "--epsilon", str(mesh / 8.0),
+                               "--out", at("out-stability.json")],
+        "stability-coarse": ["stability", p["circle.json"], p["circle.json"], p["arcs.json"],
+                             "--epsilon", str(mesh), "--out", at("out-stability.json")],
+        "glue": ["glue", p["grid.json"], p["grid.json"], "--region", p["region.json"],
+                 "--out", at("out-glue.json")],
+        "glue-shifted": ["glue", p["grid.json"], p["grid.json"],
+                         "--region", p["region-shifted.json"], "--out", at("out-glue.json")],
+        "glue-coarse": ["glue", p["grid.json"], p["grid.json"],
+                        "--region", p["region-coarse.json"], "--out", at("out-glue.json")],
+    }
+    for name, argv in runs.items():
+        for stale in os.listdir(workdir):
+            if stale.startswith("out-"):
+                os.remove(at(stale))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as so:
+            code = nervekit.cli.main(argv)
+        written = b"".join(read(f) for f in sorted(os.listdir(workdir)) if f.startswith("out-"))
+        out[f"cli/{name}"] = _sha(f"{code}\0{err.getvalue()}\0{so.getvalue()}\0".encode()
+                                  + written)
+
+
+def emit(src: str, workdir: str = os.curdir) -> dict:
+    """Every component's digest for the nervekit under src, with inputs and
+    outputs in workdir."""
+    sys.path[:0] = [src, ROOT]
+    import nervekit
+
+    if os.path.dirname(nervekit.__file__) != os.path.join(src, "nervekit"):
+        raise SystemExit(f"imported {nervekit.__file__}, not the tree under {src}")
+    out = {}
+    for seed in SEEDS:
+        _maps(seed, workdir, out)
+        _sphere_nerve(seed, workdir, out)
+        _sphere_goodness(seed, workdir, out)
+    _cli(workdir, out)
+    return out
+
+
+def _export(ref: str, dest: str) -> str:
+    """Extract ref's src/ under dest and return its path."""
+    data = subprocess.run(["git", "-C", ROOT, "archive", ref, "src"],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest, filter="data")
+    return os.path.join(dest, "src")
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("ref", nargs="?", help="git ref whose src/ is the reference")
+    p.add_argument("--emit", metavar="SRC", help=argparse.SUPPRESS)
+    args = p.parse_args()
+    if args.emit:
+        print(json.dumps(emit(args.emit)))
+        return 0
+    if not args.ref:
+        p.error("a git ref is required")
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"ref": _export(args.ref, os.path.join(tmp, "ref")),
+                 "checkout": os.path.join(ROOT, "src")}
+        workdir = os.path.join(tmp, "work")
+        for side, src in trees.items():
+            shutil.rmtree(workdir, ignore_errors=True)
+            os.mkdir(workdir)
+            run = subprocess.run([sys.executable, os.path.abspath(__file__), "--emit", src],
+                                 cwd=workdir, check=True, capture_output=True, text=True,
+                                 env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+            digests[side] = json.loads(run.stdout.splitlines()[-1])
+    ref, here = digests["ref"], digests["checkout"]
+    names = sorted(set(ref) | set(here))
+    width = max(len(n) for n in names)
+    for name in names:
+        a, b = ref.get(name, "-"), here.get(name, "-")
+        print(f"{name:<{width}}  {a[:16]}  {b[:16]}  {'same' if a == b else 'DIFFERS'}")
+    bad = [n for n in names if ref.get(n) != here.get(n)]
+    print(f"{len(names) - len(bad)} of {len(names)} components identical to {args.ref}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
