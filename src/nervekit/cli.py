@@ -40,9 +40,6 @@ def _emit(obj: dict, path: str, args: argparse.Namespace):
 
 def cmd_cover(args) -> int:
     space = FiniteMetricSpace.load(args.space)
-    if args.radius <= 0:
-        print("radius must be positive", file=sys.stderr)
-        return 2
     cover = build_ball_cover(space, args.radius, seed=args.seed)
     report = goodness_report(cover, max_order=args.max_order)
     cover.save(args.out)
@@ -92,11 +89,7 @@ def cmd_stability(args) -> int:
               f"distortion {cert.distortion}, defect {cert.defect}",
               file=sys.stderr)
         return 2
-    try:
-        lift = lift_cover(cover, cert, max_dim=args.max_dim)
-    except MetricError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    lift = lift_cover(cover, cert, max_dim=args.max_dim)
     report = homotopy_equivalence_via_nerves(lift, max_dim=args.max_dim)
     _emit(report.to_json(), args.out, args)
     ok = (report.membership_ok and report.within_10_mesh

@@ -152,7 +152,7 @@ def build_ball_cover(space: FiniteMetricSpace, radius: float, seed: int = 0) -> 
     Maximality of the net makes the balls cover: every point sits within
     radius/2 of some net point.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise CoverError("radius must be positive")
     centers = greedy_net(space, radius / 2.0, seed)
     sets = tuple(space.ball(c, radius) for c in centers)

@@ -100,7 +100,7 @@ def vr_complex(space: FiniteMetricSpace, scale: float, max_dim: int = 3) -> Simp
     taken from the bitset of their common larger neighbours, so every clique
     is built once.
     """
-    if scale <= 0:
+    if not scale > 0:
         raise HomologyError("scale must be positive")
     packed = np.packbits(np.triu(space.dist <= scale, k=1), axis=1, bitorder="little")
     later = [int.from_bytes(row.tobytes(), "little") for row in packed]

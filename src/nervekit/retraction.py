@@ -9,6 +9,7 @@ helpers branch on their plateaus to guarantee this.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -79,19 +80,20 @@ class Contraction:
         self.members = frozenset(members)
         self.center = int(center)
         self.L = float(L)
-        self.paths = {}
-        d = space.dist
+        # a greedy step depends only on the point it leaves, so the paths
+        # form a tree: each member's parent is its nearest member strictly
+        # closer to the center, lowest index first, or the center when none is
         ordered = sorted(members)
-        for x in ordered:
-            path = [x]
-            cur = x
-            while cur != center:
-                here = d[cur, center]
-                # nothing is strictly closer when cur sits at distance 0
-                cands = [y for y in ordered if d[y, center] < here] or [center]
-                cur = min(cands, key=lambda y: (d[cur, y], y))
-                path.append(cur)
-            self.paths[x] = path
+        d = space.dist[np.ix_(ordered, ordered)]
+        to_c = space.dist[ordered, center]
+        closer = to_c[None, :] < to_c[:, None]
+        nearest = np.where(closer, d, np.inf).argmin(axis=1)
+        parent = np.where(closer.any(axis=1), np.array(ordered)[nearest], center).tolist()
+        # members in order of distance to the center meet their parents first
+        self.paths = {center: [center]}
+        for i in np.argsort(to_c, kind="stable"):
+            if ordered[i] != center:
+                self.paths[ordered[i]] = [ordered[i]] + self.paths[parent[i]]
 
     def __call__(self, x: int, time: float) -> int:
         if x not in self.paths:
@@ -159,31 +161,26 @@ def radial_projection(sigma, x: BarycentricPoint, t: float, L: float):
         return x, t
     if not x.support <= frozenset(sigma):
         raise MetricError("barycentric point is not carried by the simplex")
-    bary = 1.0 / k
-    coords = np.array([x[v] for v in sigma])
+    out, u = _project(np.array([[x[v] for v in sigma]]), t, L)
+    point = BarycentricPoint({v: w for v, w in zip(sigma, out[0])})
+    return point, float(u[0])
+
+
+def _project(coords: np.ndarray, t, L: float):
+    """``radial_projection``'s arithmetic on rows of sigma coordinates at
+    heights t (per row, or one for all): the rows moved away from the
+    barycenter until they reach the base slice or a wall, with the coordinates
+    that reach it together set to 0 and all clipped at 0, and the heights u."""
+    bary = 1.0 / coords.shape[1]
+    gap = bary - coords
+    lam = np.divide(bary, gap, out=np.full(gap.shape, np.inf), where=gap > 0.0)
+    lam_wall = lam.min(axis=1)
     lam0 = 2.0 * L / (2.0 * L - t)
-    lam_wall = math.inf
-    wall_hits = []
-    for i, c in enumerate(coords):
-        if c < bary:
-            lam_i = bary / (bary - c)
-            if lam_i < lam_wall:
-                lam_wall, wall_hits = lam_i, [i]
-            elif lam_i == lam_wall:
-                wall_hits.append(i)
-    out = None
-    if lam_wall < lam0:
-        lam = lam_wall
-        u = min(max(2.0 * L + lam * (t - 2.0 * L), 0.0), L)
-        out = bary + lam * (coords - bary)
-        out[wall_hits] = 0.0
-    else:
-        lam = lam0
-        u = 0.0
-        out = bary + lam * (coords - bary)
-    out = np.maximum(out, 0.0)
-    point = BarycentricPoint({v: w for v, w in zip(sigma, out)})
-    return point, float(u)
+    wall = lam_wall < lam0
+    out = bary + np.where(wall, lam_wall, lam0)[:, None] * (coords - bary)
+    out[wall[:, None] & (lam == lam_wall[:, None])] = 0.0
+    u = np.minimum(np.maximum(2.0 * L + lam_wall * (t - 2.0 * L), 0.0), L)
+    return np.maximum(out, 0.0), np.where(wall, u, 0.0)
 
 
 class _BlendGrid:
@@ -195,20 +192,18 @@ class _BlendGrid:
     HEIGHTS = 25
 
     def __init__(self, k: int, L: float):
-        verts = tuple(range(k))
-        pts = []
-        us = []
-        for comp in itertools.combinations_with_replacement(range(k), self.SUBDIVISIONS):
-            counts = np.bincount(comp, minlength=k).astype(float) / self.SUBDIVISIONS
-            b = BarycentricPoint({v: c for v, c in zip(verts, counts) if c > 0})
-            for t in np.linspace(0.0, L, self.HEIGHTS):
-                _, u = radial_projection(verts, b, float(t), L)
-                pts.append(np.append(counts, t))
-                us.append(u)
-        pts = np.array(pts)
-        us = np.array(us)
-        self.low = pts[us <= L / 10.0]
-        self.high = pts[us >= L / 2.0]
+        S, H = self.SUBDIVISIONS, self.HEIGHTS
+        comps = np.array(list(itertools.combinations_with_replacement(range(k), S)))
+        counts = (comps[:, :, None] == np.arange(k)).sum(axis=1) / S
+        coords = np.repeat(counts, H, axis=0)
+        t = np.tile(np.linspace(0.0, L, H), len(comps))
+        # as in radial_projection, points on a proper face stay at their
+        # height and the base slice stays at 0
+        u = np.where((coords > 0.0).all(axis=1), _project(coords, t, L)[1], t)
+        u[t == 0.0] = 0.0
+        pts = np.column_stack([coords, t])
+        self.low = pts[u <= L / 10.0]
+        self.high = pts[u >= L / 2.0]
 
     def distances(self, coords: np.ndarray, t: float):
         q = np.append(coords, t)
@@ -217,14 +212,9 @@ class _BlendGrid:
         return s0, s1
 
 
-_BLEND_CACHE = {}
-
-
+@functools.cache
 def _blend_grid(k: int, L: float) -> _BlendGrid:
-    key = (k, L)
-    if key not in _BLEND_CACHE:
-        _BLEND_CACHE[key] = _BlendGrid(k, L)
-    return _BLEND_CACHE[key]
+    return _BlendGrid(k, L)
 
 
 def height_blend(sigma, x: BarycentricPoint, t: float, L: float,

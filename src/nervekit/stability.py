@@ -61,9 +61,11 @@ def lift_cover(cover: Cover, approx: ApproximationReport,
         radii = cover.radius_hint
     else:
         # measured radii sit exactly on the farthest member, so nudge them
-        # past it to keep strict-ball membership
+        # past it to keep strict-ball membership; a set whose members all
+        # sit on its center gets the smallest open ball that holds them
         reach = np.where(cover.member, cover.space.dist[:, list(cover.centers)], -np.inf)
-        radii = tuple(float(r) * (1.0 + 1e-9) for r in reach.max(axis=0))
+        radii = tuple(float(r) * (1.0 + 1e-9) if r > 0.0 else float(np.nextafter(0.0, 1.0))
+                      for r in reach.max(axis=0))
     pad = 2.0 * max(approx.distortion, approx.defect)
     sets = tuple(
         target_space.ball(c, r + pad) for c, r in zip(centers, radii)
@@ -239,6 +241,7 @@ class GluingConfig:
         object.__setattr__(self, "_to_D", to_D)
 
     def dist_to_D(self, x: int) -> float:
+        _check_points((x,), self.space.n, "point")
         return float(self._to_D[x])
 
     def d(self, x: int) -> float:
@@ -271,12 +274,6 @@ class GluingChart:
     source_chart: Chart
     target_chart: Chart
 
-    def cutoff(self, space: FiniteMetricSpace, x: int) -> float:
-        return max(0.0, 1.0 - float(space.dist[x, self.center]) / self.radius)
-
-    def in_ball(self, space: FiniteMetricSpace, x: int) -> bool:
-        return float(space.dist[x, self.center]) < self.radius / 2.0
-
 
 @dataclass(frozen=True)
 class ChartAtlas:
@@ -286,6 +283,13 @@ class ChartAtlas:
     def _to_centers(self, space: FiniteMetricSpace, region) -> np.ndarray:
         """Distances from the points of region (rows) to the chart centers."""
         return space.dist[np.ix_(list(region), [ch.center for ch in self.charts])]
+
+    def _cutoffs(self, space: FiniteMetricSpace):
+        """Per point (rows) and chart: whether the point lies in the chart's
+        half-radius ball, and the chart's cutoff weight at the point."""
+        dist = self._to_centers(space, range(space.n))
+        radii = np.array([ch.radius for ch in self.charts])
+        return dist < radii / 2.0, np.maximum(1.0 - dist / radii, 0.0)
 
     def covers(self, space: FiniteMetricSpace, region) -> bool:
         halves = np.array([ch.radius / 2.0 for ch in self.charts])
@@ -325,26 +329,23 @@ def _blend_in_chart(chart: Chart, a: int, b: int, weight_b: float) -> int:
     return chart.invert(vec)
 
 
-def _fold_charts(atlas: ChartAtlas, space: FiniteMetricSpace, x: int,
-                 side: str, a: int, b: int, weight_b: float):
-    """Blend a and b at x chart by chart, in atlas order, over the charts
-    whose ball holds x, working in each chart's ``side`` (``"source_chart"``
-    or ``"target_chart"``): each chart's blend is folded into the running
-    value with its cutoff weight against the weight folded so far.  None
-    when no chart ball holds x."""
+def _fold_charts(charts, near, phi, a: int, b: int, weight_b: float):
+    """Blend a and b at one point chart by chart, in atlas order, over the
+    charts whose ball holds the point (``near``, the point's row of
+    ``ChartAtlas._cutoffs``): each chart's blend is folded into the running
+    value with its cutoff weight (``phi``) against the weight folded so far.
+    None when no chart ball holds the point."""
     cur = None
     weight = 0.0
-    for ch in atlas.charts:
-        if not ch.in_ball(space, x):
+    for chart, inside, w in zip(charts, near, phi):
+        if not inside:
             continue
-        chart = getattr(ch, side)
         val = _blend_in_chart(chart, a, b, weight_b)
-        phi = ch.cutoff(space, x)
         if cur is None:
-            cur, weight = val, phi
+            cur, weight = val, w
         else:
-            cur = _blend_in_chart(chart, cur, val, phi / (weight + phi))
-            weight += phi
+            cur = _blend_in_chart(chart, cur, val, w / (weight + w))
+            weight += w
     return cur
 
 
@@ -364,6 +365,8 @@ def glue_maps(f: PointMap, g: dict, config: GluingConfig, atlas: ChartAtlas):
     if not atlas.covers(space, config.blend_zone):
         raise MetricError("charts do not cover the gluing collar")
 
+    charts = [ch.target_chart for ch in atlas.charts]
+    near, phi = atlas._cutoffs(space)
     out = np.zeros(space.n, dtype=int)
     for x in range(space.n):
         dx = config.d(x)
@@ -372,8 +375,7 @@ def glue_maps(f: PointMap, g: dict, config: GluingConfig, atlas: ChartAtlas):
         elif dx == config.mu:
             out[x] = f(x)
         else:
-            out[x] = _fold_charts(atlas, space, x, "target_chart",
-                                  g[x], f(x), dx / config.mu)
+            out[x] = _fold_charts(charts, near[x], phi[x], g[x], f(x), dx / config.mu)
     glued = PointMap(space, target, out)
     report = {
         "collar_size": len(collar),
@@ -397,6 +399,7 @@ def default_rho(config: GluingConfig):
     s0 = np.minimum(config._to_D / config.mu, 1.0)
 
     def rho(x: int, t: float) -> float:
+        _check_points((x,), config.space.n, "point")
         if t >= 0.5:
             ramp = 0.0
         elif t <= 0.25:
@@ -419,6 +422,8 @@ def glue_homotopies(F, H, config: GluingConfig, atlas: ChartAtlas, t_grid):
     space = config.space
     rho = default_rho(config)
     d1 = config.D1
+    charts = [ch.source_chart for ch in atlas.charts]
+    near, phi = atlas._cutoffs(space)
     out = np.zeros((space.n, len(t_grid)), dtype=int)
     for k, t in enumerate(t_grid):
         for x in range(space.n):
@@ -430,7 +435,7 @@ def glue_homotopies(F, H, config: GluingConfig, atlas: ChartAtlas, t_grid):
                 continue
             r = rho(x, t)
             h, f = H(x, k), F(x, k)
-            cur = _fold_charts(atlas, space, x, "source_chart", h, f, r)
+            cur = _fold_charts(charts, near[x], phi[x], h, f, r)
             if cur is None:
                 # collar point outside every chart ball: fall back to the blend
                 # without chart transport

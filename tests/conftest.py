@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from nervekit import Cover
 from nervekit.metric import FiniteMetricSpace
@@ -74,3 +75,24 @@ def sphere_cover():
 @pytest.fixture
 def line_cover():
     return line_pair_cover()
+
+
+@st.composite
+def spaces(draw, min_n=1, max_n=24):
+    """Up to max_n points on a small integer grid (distances tie often) or
+    in a random cloud; some points are copies of others, and the distance
+    between copies is 0 or -4e-10."""
+    n = draw(st.integers(min_n, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = int(rng.integers(1, n + 1))
+    if draw(st.booleans()):
+        coords = rng.integers(0, 6, size=(distinct, 2)).astype(float)
+    else:
+        coords = rng.uniform(0.0, 5.0, size=(distinct, 2))
+    coords = coords[np.concatenate([np.arange(distinct),
+                                    rng.integers(0, distinct, size=n - distinct)])]
+    d = np.array(FiniteMetricSpace.from_coords(coords).dist)
+    if draw(st.booleans()):
+        copies = (d == 0.0) & ~np.eye(n, dtype=bool)
+        d[copies] = -4e-10
+    return FiniteMetricSpace(d)

@@ -3,30 +3,35 @@ the downward-closure check, maximal simplices, complement distances, the
 per-point cutoff weights of the partition of unity, dense GF(2) homology,
 Vietoris-Rips cliques, star-shapedness, the goodness report, tree
 distances, the cylinder retraction replayed once per grid value, the
-gather-based greedy Gromov-Hausdorff matching, the triangle check by one
+contraction paths walked afresh from every member, the radial projection
+one coordinate at a time and the height-blend grid one projection per node,
+the gather-based greedy Gromov-Hausdorff matching, the triangle check by one
 broadcast per 32-row block, Euclidean distances by one broadcast, and the
 per-point and per-set membership scans of covers, of the gluing domain and
-its neighborhoods, of chart atlases and of the stability maps.  The tests
+its neighborhoods, of chart atlases and of the stability maps, and the
+gluings' chart fold reading one chart's ball and cutoff at a time.  The tests
 compare nervekit's bitset cover core, its linear complex checks,
 ``PartitionOfUnity``, its sparse homology core, ``goodness_report``,
-``tree_space``, ``full_cylinder_retraction``, ``gh_distance_bound``, the
+``tree_space``, ``full_cylinder_retraction``, ``Contraction``,
+``radial_projection`` and its grid, ``gh_distance_bound``, the
 metric validation kernel, ``FiniteMetricSpace.from_coords``, the cover's
 membership matrix and clearances, ``GluingConfig``, ``default_rho``,
-``ChartAtlas`` and the stability maps against them."""
+``ChartAtlas``, the chart fold and the stability maps against them."""
 import itertools
 import math
 
 import numpy as np
 
 from nervekit.cone import ConePoint, CylinderPoint
-from nervekit.complex import ComplexError, combine
+from nervekit.complex import BarycentricPoint, ComplexError, combine
 from nervekit.cover import (BETWEEN_TOL, GoodnessEntry, GoodnessReport,
                             IntersectionRecord)
 from nervekit.homology import BettiVector, vr_complex
 from nervekit.metric import FiniteMetricSpace, MetricError, _map_epsilon
 from nervekit.retraction import (DeformationTrace, TraceStage,
                                  cone_retraction_phi, cutoff_mu, cutoff_nu,
-                                 height_blend, lerp, radial_projection)
+                                 height_blend, lerp)
+from nervekit.stability import _blend_in_chart
 
 
 def chebyshev_center(cover, members):
@@ -273,6 +278,82 @@ def tree_distances(n, seed):
     return d
 
 
+def contraction_paths(space, members, center):
+    """The greedy path of every member to the center, walked afresh from
+    each member: a step goes to the nearest member (lowest index on ties)
+    strictly closer to the center, found by a scan of all members, or to
+    the center when none is."""
+    d = space.dist
+    ordered = sorted(members)
+    paths = {}
+    for x in ordered:
+        path = [x]
+        cur = x
+        while cur != center:
+            here = d[cur, center]
+            cands = [y for y in ordered if d[y, center] < here] or [center]
+            cur = min(cands, key=lambda y: (d[cur, y], y))
+            path.append(cur)
+        paths[x] = path
+    return paths
+
+
+def project_row(coords, t, L):
+    """The radial projection of one row of sigma coordinates at height t,
+    lambda by lambda: the projected row, clipped at 0, and the landing
+    height."""
+    bary = 1.0 / len(coords)
+    lam0 = 2.0 * L / (2.0 * L - t)
+    lam_wall = math.inf
+    wall_hits = []
+    for i, c in enumerate(coords):
+        if c < bary:
+            lam_i = bary / (bary - c)
+            if lam_i < lam_wall:
+                lam_wall, wall_hits = lam_i, [i]
+            elif lam_i == lam_wall:
+                wall_hits.append(i)
+    if lam_wall < lam0:
+        u = min(max(2.0 * L + lam_wall * (t - 2.0 * L), 0.0), L)
+        out = bary + lam_wall * (coords - bary)
+        out[wall_hits] = 0.0
+    else:
+        u = 0.0
+        out = bary + lam0 * (coords - bary)
+    return np.maximum(out, 0.0), float(u)
+
+
+def radial_projection(sigma, x, t, L):
+    """``retraction.radial_projection`` with its arithmetic one coordinate
+    at a time."""
+    sigma = tuple(sorted(sigma))
+    if len(sigma) == 1 or t == 0.0:
+        return x, 0.0
+    if x.support < frozenset(sigma):
+        return x, t
+    if not x.support <= frozenset(sigma):
+        raise MetricError("barycentric point is not carried by the simplex")
+    out, u = project_row(np.array([x[v] for v in sigma]), t, L)
+    return BarycentricPoint({v: w for v, w in zip(sigma, out)}), u
+
+
+def blend_grid(k, L):
+    """The low-landing and high-landing nodes of the height-blend grid
+    (coordinates in steps of 1/12, 25 heights), one ``radial_projection``
+    per node and height."""
+    verts = tuple(range(k))
+    pts, us = [], []
+    for comp in itertools.combinations_with_replacement(range(k), 12):
+        counts = np.bincount(comp, minlength=k).astype(float) / 12
+        b = BarycentricPoint({v: c for v, c in zip(verts, counts) if c > 0})
+        for t in np.linspace(0.0, L, 25):
+            _, u = radial_projection(verts, b, float(t), L)
+            pts.append(np.append(counts, t))
+            us.append(u)
+    pts, us = np.array(pts), np.array(us)
+    return pts[us <= L / 10.0], pts[us >= L / 2.0]
+
+
 def simplexwise_retraction(sigma, contraction, x, p, s, L):
     """One value of s of the simplex-wise retraction, with the radial
     projection and the height blend computed afresh."""
@@ -414,11 +495,11 @@ def mesh(cover):
 
 def measured_radii(cover):
     """Per set, the largest distance from its center to a member, nudged
-    past it as ``lift_cover`` does without radius hints."""
-    return tuple(
-        float(max(cover.space.dist[c, m] for m in s)) * (1.0 + 1e-9)
-        for c, s in zip(cover.centers, cover.sets)
-    )
+    past it as ``lift_cover`` does without radius hints; the least positive
+    float when that distance is 0."""
+    reach = [float(max(cover.space.dist[c, m] for m in s))
+             for c, s in zip(cover.centers, cover.sets)]
+    return tuple(r * (1.0 + 1e-9) if r > 0.0 else math.nextafter(0.0, 1.0) for r in reach)
 
 
 def greedy_net(space, separation, seed):
@@ -499,6 +580,27 @@ def atlas_multiplicity(atlas, space, region):
         sum(1 for ch in atlas.charts if space.dist[x, ch.center] < 2.0 * atlas.deltaR)
         for x in region
     )
+
+
+def fold_charts(atlas, space, x, side, a, b, weight_b):
+    """The chart fold of the gluings at x, reading each chart's ball and
+    cutoff one chart at a time, in the chart's ``side`` ("source_chart" or
+    "target_chart"); None when no chart ball holds x."""
+    cur = None
+    weight = 0.0
+    for ch in atlas.charts:
+        dist = float(space.dist[x, ch.center])
+        if not dist < ch.radius / 2.0:
+            continue
+        chart = getattr(ch, side)
+        val = _blend_in_chart(chart, a, b, weight_b)
+        phi = max(0.0, 1.0 - dist / ch.radius)
+        if cur is None:
+            cur, weight = val, phi
+        else:
+            cur = _blend_in_chart(chart, cur, val, phi / (weight + phi))
+            weight += phi
+    return cur
 
 
 def almost_inverse_image(pmap):

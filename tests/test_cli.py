@@ -218,3 +218,26 @@ def test_glue_rejects_malformed_region(tmp_path, capsys, change, message):
                  "--region", str(region_path)])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+def test_cover_rejects_a_radius_that_is_not_positive(tmp_path, capsys, circle_files, value):
+    _, space_path = circle_files
+    code = main(["cover", space_path, "--radius", value,
+                 "--out", str(tmp_path / "c.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "radius must be positive\n"
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "nan"])
+def test_verify_rejects_a_scale_that_is_not_positive(tmp_path, capsys, value):
+    cov = three_arc_cover(24)
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(cov.space.to_json()))
+    report_path = tmp_path / "verify.json"
+    code = main(["verify", str(space_path), _write_cover(tmp_path, cov),
+                 "--vr-scale", value, "--out", str(report_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "scale must be positive\n"
+    assert not report_path.exists()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,9 @@ def test_membership_rejects_point_outside_the_space(bad):
     cov = Cover(line_space(4), (frozenset({0, 1}), frozenset({1, 2, 3})), (0, 2))
     with pytest.raises(CoverError, match=f"point {bad} is not a point index"):
         cov.membership(bad)
+
+
+@pytest.mark.parametrize("radius", [-1.0, math.nan])
+def test_build_ball_cover_rejects_a_radius_that_is_not_positive(radius):
+    with pytest.raises(CoverError, match="^radius must be positive$"):
+        build_ball_cover(line_space(4), radius)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,9 @@ def test_nerve_mismatch_reported_for_bad_cover():
     obj = report.to_json()
     assert obj["pass"] is False
     assert "necessary" in obj["note"]
+
+
+@pytest.mark.parametrize("scale", [-1.0, math.nan])
+def test_vr_complex_rejects_a_scale_that_is_not_positive(scale):
+    with pytest.raises(HomologyError, match="^scale must be positive$"):
+        vr_complex(line_space(3), scale)

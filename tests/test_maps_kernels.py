@@ -1,0 +1,170 @@
+"""The array kernels of the maps layers against the per-point loops in
+``oracles.py``: the contraction paths derived from one parent tree, the
+radial projection on rows of coordinates and the height-blend grid built
+from it, and the gluings' chart fold over one in-ball mask and cutoff
+matrix.  Floats must match bit for bit.  The cases include members at
+distance 0 (or just below) from their center, ties in distance, coordinates
+that reach the wall together, heights 0 and L, points on a proper face and
+points in no chart ball."""
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import octahedral_cover, spaces, three_arc_cover
+from nervekit.complex import BarycentricPoint
+from nervekit.metric import FiniteMetricSpace, MetricError
+from nervekit.retraction import (Contraction, _BlendGrid, _project,
+                                 build_contractions, radial_projection)
+from nervekit.samples import grid_with_strainers
+from nervekit.stability import Chart, ChartAtlas, GluingChart, _fold_charts
+
+L = 7.0
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@given(spaces(max_n=30), st.data())
+@settings(max_examples=200, deadline=None)
+def test_contraction_paths_match_the_walk_oracle(space, data):
+    members = data.draw(st.sets(st.integers(0, space.n - 1), min_size=1))
+    center = data.draw(st.sampled_from(sorted(members)))
+    con = Contraction(space, frozenset(members), center, L)
+    assert con.paths == oracles.contraction_paths(space, members, center)
+
+
+@pytest.mark.parametrize("make", [three_arc_cover, octahedral_cover])
+def test_cover_contractions_match_the_walk_oracle(make):
+    cover = make()
+    for con in build_contractions(cover, L).values():
+        assert con.paths == oracles.contraction_paths(cover.space, con.members, con.center)
+
+
+def test_contraction_breaks_distance_ties_by_the_lowest_index():
+    # 1 and 2 are both 1 from 0 and 2 from the center 3, so 0 steps to 1;
+    # 4 sits on the center and steps straight to it
+    d = np.array([[0, 1, 1, 2, 2],
+                  [1, 0, 2, 1, 1],
+                  [1, 2, 0, 1, 1],
+                  [2, 1, 1, 0, 0],
+                  [2, 1, 1, 0, 0]], dtype=float)
+    space = FiniteMetricSpace(d)
+    con = Contraction(space, frozenset(range(5)), 3, L)
+    assert con.paths == {0: [0, 1, 3], 1: [1, 3], 2: [2, 3], 3: [3], 4: [4, 3]}
+    assert con.paths == oracles.contraction_paths(space, range(5), 3)
+
+
+@st.composite
+def simplex_points(draw, k=None):
+    """Sorted labels of k vertices (1 to 5 when not given) and a point on
+    them: Dirichlet weights, or small integer weights (so that coordinates
+    tie and reach the wall together), some of them 0 (a proper face); a
+    height of 0, L or in between."""
+    if k is None:
+        k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = tuple(sorted(rng.choice(12, size=k, replace=False).tolist()))
+    if draw(st.booleans()):
+        weights = rng.dirichlet(np.ones(k))
+    else:
+        weights = rng.integers(0, 4, size=k).astype(float)
+        weights[rng.integers(k)] += 1.0
+        weights /= weights.sum()
+    x = BarycentricPoint({v: w for v, w in zip(sigma, weights) if w > 0.0})
+    t = draw(st.sampled_from([None, None, 0.0, L]))
+    if t is None:
+        t = float(rng.uniform(0.0, L))
+    return sigma, x, t
+
+
+@given(simplex_points(), st.sampled_from([L, 6.5, 12.0]))
+@settings(max_examples=300, deadline=None)
+def test_radial_projection_matches_the_coordinate_loop(case, height):
+    sigma, x, t = case
+    t = min(t, height)
+    got, u = radial_projection(sigma, x, t, height)
+    want, v = oracles.radial_projection(sigma, x, t, height)
+    assert list(got.weights.items()) == list(want.weights.items())
+    assert _bits(u) == _bits(v)
+
+
+@given(st.integers(1, 5), st.sampled_from([L, 6.5, 12.0]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_projection_kernel_rows_match_the_coordinate_loop(k, height, data):
+    # rows of coordinates on one simplex, each with its own height, as the
+    # blend grid stacks them
+    cases = data.draw(st.lists(simplex_points(k), min_size=1, max_size=8))
+    rows = np.array([[x[v] for v in sigma] for sigma, x, _t in cases])
+    t = np.array([min(c[2], height) for c in cases])
+    out, u = _project(rows, t, height)
+    for i, row in enumerate(rows):
+        want_out, want_u = oracles.project_row(row, float(t[i]), height)
+        assert _bits(out[i]) == _bits(want_out)
+        assert _bits(u[i]) == _bits(want_u)
+
+
+@pytest.mark.parametrize("row", [np.array([1.0, 1.0, 35.0]) / 37.0,
+                                 np.array([1.0, 1.0, 8.0, 8.0]) / 18.0])
+def test_projection_kernel_zeroes_every_coordinate_that_hits_the_wall(row):
+    # the two low coordinates reach the wall at the same lambda, where the
+    # arithmetic alone leaves them a few ulps above 0
+    bary = 1.0 / len(row)
+    lam = bary / (bary - row.min())
+    assert bary + lam * (row.min() - bary) > 0.0
+    (got,), (u,) = _project(row[None, :], 5.0, L)
+    want, want_u = oracles.project_row(row, 5.0, L)
+    assert _bits(got) == _bits(want) and _bits(u) == _bits(want_u)
+    assert (got[row == row.min()] == 0.0).all() and u > 0.0
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("height", [L, 9.5])
+def test_blend_grid_matches_one_projection_per_node(k, height):
+    grid = _BlendGrid(k, height)
+    low, high = oracles.blend_grid(k, height)
+    assert grid.low.shape == low.shape and grid.high.shape == high.shape
+    assert _bits(grid.low) == _bits(low) and _bits(grid.high) == _bits(high)
+
+
+@functools.lru_cache(maxsize=None)
+def _patch_charts(center, radius):
+    """A chart of the 9 x 9 strainer patch and one of its copy scaled by 1.5,
+    around the same center, so that the two sides of a gluing chart differ."""
+    space, pairs = grid_with_strainers(9)
+    scaled = FiniteMetricSpace(1.5 * space.dist)
+    return (Chart(space, center, pairs, 2.0 * radius, 0.3),
+            Chart(scaled, center, pairs, 2.0 * radius, 0.3))
+
+
+def _outcome(fold):
+    # a point outside a chart or an ambiguous inversion must fail alike
+    try:
+        return fold()
+    except MetricError as exc:
+        return str(exc)
+
+
+@given(st.lists(st.tuples(st.integers(20, 60), st.sampled_from([1.0, 1.5, 2.0, 3.0])),
+                min_size=1, max_size=4),
+       st.integers(20, 60), st.integers(20, 60),
+       st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)))
+@settings(max_examples=100, deadline=None)
+def test_chart_fold_matches_the_per_chart_scan(charts, a, b, weight_b):
+    space, _ = grid_with_strainers(9)
+    atlas = ChartAtlas(tuple(GluingChart(c, r, *_patch_charts(c, r)) for c, r in charts),
+                       1.0)
+    near, phi = atlas._cutoffs(space)
+    # the far strainer points 81-84 lie in no chart ball
+    assert not near[81:].any()
+    for side in ("source_chart", "target_chart"):
+        sides = [getattr(ch, side) for ch in atlas.charts]
+        for x in range(space.n):
+            got = _outcome(lambda: _fold_charts(sides, near[x], phi[x], a, b, weight_b))
+            want = _outcome(lambda: oracles.fold_charts(atlas, space, x, side, a, b,
+                                                        weight_b))
+            assert got == want

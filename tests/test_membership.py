@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import (line_pair_cover, octahedral_cover, shared_members_cover,
-                      three_arc_cover, tree_ball_cover)
+                      spaces, three_arc_cover, tree_ball_cover)
 from nervekit.cone import CylinderSpace
 from nervekit.complex import BarycentricPoint
 from nervekit.cover import Cover, CoverError, _net, build_ball_cover, greedy_net
@@ -26,27 +26,6 @@ TIMES = (0.0, 0.2, 0.25, 0.3, 0.5, 0.75, 1.0)
 
 def _same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
-
-
-@st.composite
-def spaces(draw, min_n=1, max_n=24):
-    """Up to max_n points on a small integer grid (distances tie often) or
-    in a random cloud; some points are copies of others, and the distance
-    between copies is 0 or -4e-10."""
-    n = draw(st.integers(min_n, max_n))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    distinct = int(rng.integers(1, n + 1))
-    if draw(st.booleans()):
-        coords = rng.integers(0, 6, size=(distinct, 2)).astype(float)
-    else:
-        coords = rng.uniform(0.0, 5.0, size=(distinct, 2))
-    coords = coords[np.concatenate([np.arange(distinct),
-                                    rng.integers(0, distinct, size=n - distinct)])]
-    d = np.array(FiniteMetricSpace.from_coords(coords).dist)
-    if draw(st.booleans()):
-        copies = (d == 0.0) & ~np.eye(n, dtype=bool)
-        d[copies] = -4e-10
-    return FiniteMetricSpace(d)
 
 
 @st.composite
@@ -116,13 +95,13 @@ def test_fixed_covers_match_the_set_scans(make):
 @settings(max_examples=80, deadline=None)
 def test_measured_lift_radii_match_the_member_scan(space, radius, seed):
     # a lift along the identity has no padding, so its radius hints are the
-    # measured radii of a ball cover given without its radii (a set whose
-    # members all sit on its center would measure 0 and lift to no point)
+    # measured radii of a ball cover given without its radii (a cover of
+    # mesh 0 admits no approximation fine enough to lift along)
     balls = build_ball_cover(space, radius, seed)
     cov = Cover(space, balls.sets, balls.centers)
     want = oracles.measured_radii(cov)
-    assume(min(want) > 0.0)
     mesh = cov.mesh()
+    assume(mesh > 0.0)
     cert = check_approximation(PointMap(space, space, np.arange(space.n)), mesh / 8.0)
     lift = lift_cover(cov, cert, max_dim=space.n)
     assert _same_bits(lift.target.radius_hint, want)

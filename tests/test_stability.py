@@ -324,3 +324,23 @@ def test_strainer_check_rejects_point_outside_the_space(bad):
     space, pairs = _patch()
     with pytest.raises(MetricError, match=f"strainer point {bad} is not a point"):
         Chart(space, 40, [pairs[0], (pairs[1][0], bad)], radius=3.0)
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_gluing_distances_reject_point_outside_the_space(bad):
+    # -1 used to read the last point's distance, 6 raised a bare IndexError
+    config = GluingConfig(line_space(6), frozenset({0}), 1.0)
+    rho = default_rho(config)
+    for read in (config.dist_to_D, config.d, lambda x: rho(x, 0.3)):
+        with pytest.raises(MetricError, match=rf"^point {bad} is not a point index in \[0, 6\)$"):
+            read(bad)
+
+
+def test_lift_keeps_a_set_whose_measured_radius_is_zero():
+    # {0} measures radius 0; its lift is the smallest open ball around 0,
+    # while the other set keeps the nudge past its farthest member
+    cov = Cover(line_space(4), ({0}, {0, 1, 2, 3}), (0, 0))
+    lift = lift_cover(cov, _identity_cert(cov, 0.1))
+    assert lift.target.sets == cov.sets
+    assert lift.target.radius_hint == (float(np.nextafter(0.0, 1.0)), 3.0 * (1.0 + 1e-9))
+    assert nerve_of(lift.target).simplices == nerve_of(cov).simplices
