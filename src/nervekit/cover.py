@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .metric import FiniteMetricSpace, _check_points, _nn_spacing
+from .metric import METRIC_TOL, FiniteMetricSpace, _check_points, _nn_spacing
 
 BETWEEN_TOL = 1e-9
 
@@ -283,11 +283,19 @@ class GoodnessReport:
 
 def _star_shaped(space: FiniteMetricSpace, members: frozenset, center: int) -> bool:
     """Every sample point metrically between a member and the center must be a
-    member itself."""
+    member itself.
+
+    x is between member m and center c when ``fl(d[m, x] + d[x, c]) <= R_m =
+    fl(d[m, c] + BETWEEN_TOL)``.  Only columns with ``fl(d[x, c] - METRIC_TOL)
+    <= max_m R_m`` are tested, and they hold every such x: entries are at
+    least -METRIC_TOL and rounding is monotone, so ``fl(d[x, c] - METRIC_TOL)
+    <= fl(d[m, x] + d[x, c]) <= R_m``."""
     idx = sorted(members)
-    d = space.dist
-    between = d[idx, :] + d[:, center] <= (d[idx, center] + BETWEEN_TOL)[:, None]
-    return set(np.flatnonzero(between.any(axis=0)).tolist()) <= members
+    to_center = space.dist[center]  # d[x, c]: the stored matrix is exactly symmetric
+    reach = to_center[idx] + BETWEEN_TOL
+    near = np.flatnonzero(to_center - METRIC_TOL <= reach.max())
+    between = space.dist[np.ix_(idx, near)] + to_center[near] <= reach[:, None]
+    return set(near[between.any(axis=0)].tolist()) <= members
 
 
 def goodness_report(cover: Cover, max_order: int = 8) -> GoodnessReport:
@@ -297,33 +305,23 @@ def goodness_report(cover: Cover, max_order: int = 8) -> GoodnessReport:
     Betti numbers depend only on the members, and star-shapedness also on
     the center, so each is computed once per distinct key.
     """
-    from .homology import betti, vr_complex
+    from .homology import _proxy_betti
 
     proxies = {}  # members -> (proxy scale, Betti ranks)
     stars = {}  # (members, center) -> star-shaped
     entries = []
     for rec in intersections(cover, max_order):
-        proxy = proxies.get(rec.members)
-        if proxy is None:
-            idx = sorted(rec.members)
-            sub = cover.space.dist[np.ix_(idx, idx)]
+        if rec.members not in proxies:
+            idx = np.array(sorted(rec.members))
+            # a principal submatrix: exactly symmetric, zero diagonal, >= -METRIC_TOL
+            sub = cover.space.dist[idx[:, None], idx]
             scale = 2.0 * _nn_spacing(sub) if len(idx) > 1 else 1.0
-            ranks = betti(vr_complex(FiniteMetricSpace(sub), scale, max_dim=3),
-                          max_dim=2).ranks
-            proxy = proxies[rec.members] = (scale, ranks)
-        scale, ranks = proxy
+            proxies[rec.members] = (scale, _proxy_betti(sub, scale))
+        scale, ranks = proxies[rec.members]
         key = (rec.members, rec.center)
-        star = stars.get(key)
-        if star is None:
-            star = stars[key] = _star_shaped(cover.space, rec.members, rec.center)
+        if key not in stars:
+            stars[key] = _star_shaped(cover.space, *key)
         trivial = ranks[0] == 1 and all(r == 0 for r in ranks[1:])
-        entries.append(
-            GoodnessEntry(
-                indices=tuple(sorted(rec.indices)),
-                star_shaped=star,
-                betti=ranks,
-                proxy_scale=scale,
-                contractible_proxy=trivial,
-            )
-        )
+        entries.append(GoodnessEntry(indices=tuple(sorted(rec.indices)), star_shaped=stars[key],
+                                     betti=ranks, proxy_scale=scale, contractible_proxy=trivial))
     return GoodnessReport(tuple(entries))

@@ -199,10 +199,13 @@ class FiniteMetricSpace:
                     f"triangle inequality violated for ({i},{j},{k}): "
                     f"{d[i, k]} > {d[i, j]} + {d[j, k]}"
                 )
-        d = (d + d.T) / 2.0
-        np.fill_diagonal(d, 0.0)
-        d.setflags(write=False)
-        object.__setattr__(self, "dist", d)
+        with np.errstate(over="ignore"):  # a sum past the largest float is redone
+            avg = (d + d.T) / 2.0
+        over = np.isinf(avg)
+        avg[over] = d[over] / 2.0 + d.T[over] / 2.0
+        np.fill_diagonal(avg, 0.0)
+        avg.setflags(write=False)
+        object.__setattr__(self, "dist", avg)
         if self.points is None:
             object.__setattr__(self, "points", tuple(range(n)))
         elif len(self.points) != n:

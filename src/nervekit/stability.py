@@ -238,6 +238,7 @@ class GluingConfig:
         D = sorted(int(x) for x in self.D or ())
         object.__setattr__(self, "D", frozenset(D))
         to_D = self.space.dist[:, D].min(axis=1) if D else np.full(self.space.n, self.mu)
+        to_D[to_D < 0.0] = 0.0  # a distance allowed just below 0 puts the point in D
         object.__setattr__(self, "_to_D", to_D)
 
     def dist_to_D(self, x: int) -> float:

@@ -1,8 +1,9 @@
 """Straightforward reference implementations of intersection enumeration,
 the downward-closure check, maximal simplices, complement distances, the
 per-point cutoff weights of the partition of unity, dense GF(2) homology,
-Vietoris-Rips cliques, star-shapedness, the goodness report, tree
-distances, the cylinder retraction replayed once per grid value, the
+Vietoris-Rips cliques, star-shapedness over every column, the goodness
+report, its per-member-set proxy chain (submatrix validated again,
+closure-checked complex, whole reduction), tree distances, the cylinder retraction replayed once per grid value, the
 contraction paths walked afresh from every member, the radial projection
 one coordinate at a time and the height-blend grid one projection per node,
 the gather-based greedy Gromov-Hausdorff matching, the triangle check by one
@@ -12,6 +13,7 @@ its neighborhoods, of chart atlases and of the stability maps, and the
 gluings' chart fold reading one chart's ball and cutoff at a time.  The tests
 compare nervekit's bitset cover core, its linear complex checks,
 ``PartitionOfUnity``, its sparse homology core, ``goodness_report``,
+its proxy Betti numbers and star check,
 ``tree_space``, ``full_cylinder_retraction``, ``Contraction``,
 ``radial_projection`` and its grid, ``gh_distance_bound``, the
 metric validation kernel, ``FiniteMetricSpace.from_coords``, the cover's
@@ -26,7 +28,7 @@ from nervekit.cone import ConePoint, CylinderPoint
 from nervekit.complex import BarycentricPoint, ComplexError, combine
 from nervekit.cover import (BETWEEN_TOL, GoodnessEntry, GoodnessReport,
                             IntersectionRecord)
-from nervekit.homology import BettiVector, vr_complex
+from nervekit.homology import BettiVector, betti as complex_betti, vr_complex
 from nervekit.metric import FiniteMetricSpace, MetricError, _map_epsilon
 from nervekit.retraction import (DeformationTrace, TraceStage,
                                  cone_retraction_phi, cutoff_mu, cutoff_nu,
@@ -243,6 +245,15 @@ def proxy_scale(space, members):
     sub = space.dist[np.ix_(idx, idx)].copy()
     np.fill_diagonal(sub, np.inf)
     return 2.0 * float(sub.min(axis=1).max())
+
+
+def proxy_betti(dist, scale):
+    """The goodness proxy's Betti numbers as the report computed them per
+    member set: the submatrix validated again, its Vietoris-Rips complex
+    built as a closure-checked ``SimplicialComplex``, and the whole complex
+    reduced."""
+    return complex_betti(vr_complex(FiniteMetricSpace(dist), scale, max_dim=3),
+                         max_dim=2).ranks
 
 
 def goodness_report(cover, max_order):
@@ -523,10 +534,12 @@ def atlas_centers(space, region, deltaR):
 
 
 def dist_to_D(config, x):
-    """Distance from x to D by a scan of D; mu when D is empty."""
+    """Distance from x to D by a scan of D, 0 for a distance below 0; mu when
+    D is empty."""
     if not config.D:
         return config.mu
-    return float(config.space.dist[x, sorted(config.D)].min())
+    dist = float(config.space.dist[x, sorted(config.D)].min())
+    return 0.0 if dist < 0.0 else dist
 
 
 def d(config, x):

@@ -78,6 +78,25 @@ def test_any_non_finite_entry_is_rejected(n, seed, data):
         FiniteMetricSpace(d)
 
 
+# the triangle check's detour sums overflow too, harmlessly: an infinite
+# detour is never the shortest, as the detour through i itself is d[i, k]
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("big", [1e308, np.finfo(float).max])
+def test_stored_matrix_stays_finite_near_the_largest_float(big):
+    d = np.array([[0.0, big, 1.0], [big, 0.0, big], [1.0, big, 0.0]])
+    assert np.array_equal(FiniteMetricSpace(d).dist, d)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_stored_matrix_averages_only_within_the_largest_float():
+    # an asymmetric pair within tolerance is still averaged, next to entries
+    # whose sum with their transpose overflows
+    d = np.array([[0.0, 1.0, 1e308], [1.0 + 1e-10, 0.0, 1e308], [1e308, 1e308, 0.0]])
+    stored = FiniteMetricSpace(d).dist
+    assert stored[0, 1] == stored[1, 0] == (1.0 + (1.0 + 1e-10)) / 2.0
+    assert stored[0, 2] == stored[1, 2] == 1e308
+
+
 def test_matrix_is_read_only():
     sp = line_space(3)
     with pytest.raises(ValueError):

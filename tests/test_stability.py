@@ -344,3 +344,24 @@ def test_lift_keeps_a_set_whose_measured_radius_is_zero():
     assert lift.target.sets == cov.sets
     assert lift.target.radius_hint == (float(np.nextafter(0.0, 1.0)), 3.0 * (1.0 + 1e-9))
     assert nerve_of(lift.target).simplices == nerve_of(cov).simplices
+
+
+def test_glue_takes_a_point_just_below_distance_zero_as_a_point_of_D():
+    # a copy of the patch's center 40 at distance -4e-10, which validation
+    # accepts: it lies in D, not in the blend zone that no chart need cover
+    grid, pairs = _patch()
+    n = grid.n
+    dist = np.zeros((n + 1, n + 1))
+    dist[:n, :n] = grid.dist
+    dist[n, :n] = dist[:n, n] = grid.dist[40]
+    dist[n, 40] = dist[40, n] = -4e-10
+    space = FiniteMetricSpace(dist)
+    D = frozenset(i * 9 + j for i in range(3, 6) for j in range(3, 6))
+    config = GluingConfig(space, D, 2.0)
+    g = {x: x for x in config.D1}
+    f = PointMap(space, space, np.arange(space.n))
+    atlas = build_gluing_atlas(space, space, config.blend_zone, 3.0, pairs, pairs, g,
+                               delta=0.3)
+    glued, _ = glue_maps(f, g, config, atlas)
+    assert np.array_equal(glued.image, np.arange(space.n))
+    assert config.dist_to_D(n) == config.d(n) == 0.0
