@@ -5,6 +5,7 @@ sup-norm between weight vectors as its distance.
 """
 from __future__ import annotations
 
+import functools
 import json
 import operator
 from dataclasses import dataclass
@@ -175,7 +176,9 @@ class BarycentricPoint:
     """A point of a geometric realization as a sparse vertex-weight map.
 
     Weights below ``WEIGHT_DROP`` are discarded and the rest renormalized, so
-    the support is always exactly the set of carried keys.
+    the support is always exactly the set of carried keys.  The total is
+    summed left to right in key order, on every Python version (``sum``
+    compensates from 3.12 on), so that an array kernel can reproduce it.
     """
 
     __slots__ = ("weights",)
@@ -184,10 +187,18 @@ class BarycentricPoint:
         w = {int(v): float(c) for v, c in weights.items() if c > WEIGHT_DROP}
         if not w:
             raise ComplexError("barycentric point needs positive weight")
-        total = sum(w.values())
+        total = functools.reduce(operator.add, w.values())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             w = {v: c / total for v, c in w.items()}
         self.weights = w
+
+    @classmethod
+    def _from_weights(cls, weights: dict) -> "BarycentricPoint":
+        """The point with these weights as they are: int keys, each weight
+        above ``WEIGHT_DROP``, already normalized."""
+        point = cls.__new__(cls)
+        point.weights = weights
+        return point
 
     @classmethod
     def vertex(cls, j: int) -> "BarycentricPoint":

@@ -82,14 +82,20 @@ class CylinderSpace:
         self.L = float(L)
         self.nerve = nerve_of(cover, max_dim=max_dim)
         self.pou = PartitionOfUnity(cover)
+        self._bases = {}
 
     def check_membership(self, p: CylinderPoint) -> bool:
-        supp = p.theta.support
-        if not self.nerve.contains(supp):
-            return False
-        if not 0.0 <= p.cone.t <= self.L:
-            return False
-        return all(p.cone.base in self.cover.sets[j] for j in supp)
+        return self._holds(p.theta.support, p.cone.base, 0.0 <= p.cone.t <= self.L)
+
+    def _holds(self, supp: frozenset, base: int, height_ok: bool) -> bool:
+        """Membership of a point with support supp and base base whose height
+        is in [0, L] when height_ok.  The bases allowed over each support (the
+        intersection it indexes, or none when it is no nerve simplex) are
+        found on first use and kept."""
+        if supp not in self._bases:
+            self._bases[supp] = (frozenset.intersection(*(self.cover.sets[j] for j in supp))
+                                 if self.nerve.contains(supp) else frozenset())
+        return height_ok and base in self._bases[supp]
 
     def require(self, p: CylinderPoint):
         if not self.check_membership(p):

@@ -39,27 +39,41 @@ def _triangle_defects(d: np.ndarray) -> np.ndarray:
     the same bit for bit.  The blocks are dealt out to up to
     ``os.cpu_count()`` threads (numpy releases the GIL inside its loops);
     each block writes only its own rows of ``bad``.
+
+    When d is symmetric bit for bit, so is ``bad``: ``bad[k, i]`` folds
+    d[k, j] + d[j, i] = d[j, k] + d[i, j], the same sums as ``bad[i, k]``
+    in the same order of j.  Then a block of rows from a computes only the
+    columns k >= a, in blocks of ``BUDGET`` bytes of that width n - a, and
+    the columns left of a are mirrored from the rows above once every block
+    is done: about half the work, with the same bits.
     """
     n = len(d)
     if 8 * n**3 <= BUDGET:
         return d - np.min(d[:, :, None] + d[None, :, :], axis=1)
+    # bit for bit, so that a 0.0 facing a -0.0 keeps the full kernel
+    half = np.array_equal(d.view(np.int64), d.T.view(np.int64))
+    blocks = []  # (first row, first column, rows)
+    a = 0
+    while a < n:
+        lo = a if half else 0
+        step = max(1, BUDGET // (8 * (n - lo)))
+        blocks.append((a, lo, min(step, n - a)))
+        a += step
     bad = np.empty_like(d)
-    step = max(1, BUDGET // (8 * n))
-    starts = range(0, n, step)
-    workers = min(os.cpu_count() or 1, len(starts))
+    workers = min(os.cpu_count() or 1, len(blocks))
     errors = []
 
     def fold(first):
         try:
-            best, t = np.empty((2, step, n))
-            for a in starts[first::workers]:
-                rows = d[a:a + step]
-                b, tb = best[:len(rows)], t[:len(rows)]
-                np.add(rows[:, :1], d[0], out=b)
+            buffers = np.empty((2, max(BUDGET // 8, n)))
+            for a, lo, h in blocks[first::workers]:
+                rows = d[a:a + h]
+                b, tb = buffers[:, :h * (n - lo)].reshape(2, h, n - lo)
+                np.add(rows[:, :1], d[0, lo:], out=b)
                 for j in range(1, n):
-                    np.add(rows[:, j:j + 1], d[j], out=tb)
+                    np.add(rows[:, j:j + 1], d[j, lo:], out=tb)
                     np.minimum(b, tb, out=b)
-                np.subtract(rows, b, out=bad[a:a + step])
+                np.subtract(rows[:, lo:], b, out=bad[a:a + h, lo:])
         except Exception as exc:  # raised again in the calling thread
             errors.append(exc)
 
@@ -71,6 +85,8 @@ def _triangle_defects(d: np.ndarray) -> np.ndarray:
         th.join()
     if errors:
         raise errors[0]
+    for a, lo, h in blocks:
+        bad[a:a + h, :lo] = bad[:lo, a:a + h].T
     return bad
 
 
@@ -397,13 +413,17 @@ def _greedy_map(X: FiniteMetricSpace, Y: FiniteMetricSpace, ax: int, ay: int) ->
     image[order[0]] = ay
     rows[0] = Y.dist[ay]
     anchor = np.abs(rows[0] - dxo[:, :1])  # every step's anchor term
+    # the ufunc reductions and nonzero are called directly: on these short
+    # rows the Python wrappers ndarray.max and np.flatnonzero are a large
+    # share of a step's cost
     for k in range(1, X.n):
         dx = dxo[k]
         lb = np.maximum(anchor[k], np.abs(rows[k - 1] - dx[k - 1]))
         y0 = lb.argmin()
-        c0 = np.abs(rows[:k, y0] - dx[:k]).max()
-        cand = np.flatnonzero(lb <= c0)
-        between = np.abs(rows[1:k - 1, cand] - dx[1:k - 1, None]).max(axis=0, initial=0.0)
+        c0 = np.maximum.reduce(np.abs(rows[:k, y0] - dx[:k]))
+        cand = (lb <= c0).nonzero()[0]
+        gaps = np.abs(rows[1:k - 1, cand] - dx[1:k - 1, None])
+        between = np.maximum.reduce(gaps, axis=0, initial=0.0)
         y = cand[np.maximum(lb[cand], between).argmin()]
         image[order[k]] = y
         rows[k] = Y.dist[y]

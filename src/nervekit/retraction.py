@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import BarycentricPoint, combine
+from .complex import (WEIGHT_DROP, WEIGHT_SUM_TOL, BarycentricPoint, ComplexError,
+                      combine)
 from .cone import ConePoint, CylinderPoint, CylinderSpace, cone_distance
 from .cover import Cover, intersections
 from .metric import FiniteMetricSpace, MetricError
@@ -154,16 +155,21 @@ def radial_projection(sigma, x: BarycentricPoint, t: float, L: float):
     of the base slice are their own images, exactly.
     """
     sigma = tuple(sorted(sigma))
-    k = len(sigma)
-    if k == 1 or t == 0.0:
+    return _radial(sigma, x, [x[v] for v in sigma], t, L)
+
+
+def _radial(sigma: tuple, x: BarycentricPoint, coords: list, t: float, L: float):
+    """``radial_projection`` of x, whose coordinates on the sorted simplex
+    sigma are coords."""
+    if len(sigma) == 1 or t == 0.0:
         return x, 0.0
-    if x.support < frozenset(sigma):
+    supp, whole = x.support, frozenset(sigma)
+    if supp < whole:
         return x, t
-    if not x.support <= frozenset(sigma):
+    if not supp <= whole:
         raise MetricError("barycentric point is not carried by the simplex")
-    out, u = _project(np.array([[x[v] for v in sigma]]), t, L)
-    point = BarycentricPoint({v: w for v, w in zip(sigma, out[0])})
-    return point, float(u[0])
+    out, u = _project(np.array([coords]), t, L)
+    return BarycentricPoint(dict(zip(sigma, out[0].tolist()))), float(u[0])
 
 
 def _project(coords: np.ndarray, t, L: float):
@@ -207,8 +213,9 @@ class _BlendGrid:
 
     def distances(self, coords: np.ndarray, t: float):
         q = np.append(coords, t)
-        s0 = float(np.sqrt(((self.low - q) ** 2).sum(axis=1)).min())
-        s1 = float(np.sqrt(((self.high - q) ** 2).sum(axis=1)).min())
+        # sqrt is monotone, so the root of the least square is the least root
+        s0 = math.sqrt(((self.low - q) ** 2).sum(axis=1).min())
+        s1 = math.sqrt(((self.high - q) ** 2).sum(axis=1).min())
         return s0, s1
 
 
@@ -225,14 +232,19 @@ def height_blend(sigma, x: BarycentricPoint, t: float, L: float,
     it weights by the distances to those two regions.
     """
     sigma = tuple(sorted(sigma))
+    coords = [x[v] for v in sigma]
     if u is None:
-        _, u = radial_projection(sigma, x, t, L)
+        _, u = _radial(sigma, x, coords, t, L)
+    return _blend(coords, t, u, L)
+
+
+def _blend(coords: list, t: float, u: float, L: float) -> float:
+    """``height_blend`` at the coordinates coords on the simplex."""
     if u == t or u >= L / 2.0:
         return t
     if u <= L / 10.0:
         return u
-    coords = np.array([x[v] for v in sigma])
-    s0, s1 = _blend_grid(len(sigma), L).distances(coords, t)
+    s0, s1 = _blend_grid(len(coords), L).distances(np.array(coords), t)
     return (s1 * u + s0 * t) / (s0 + s1)
 
 
@@ -244,40 +256,139 @@ def simplexwise_retraction(sigma, contraction: Contraction, x: BarycentricPoint,
     Returns the pair (simplex point, cone point).  The base slice and the
     cone over the simplex boundary are fixed pointwise at every s.
     """
-    return _simplexwise_points(sigma, contraction, x, p, (s,), L)[0]
+    end = _simplexwise_stage(tuple(sorted(sigma)), contraction, x, p, (s,), L).end
+    return end.theta, end.cone
 
 
-def _simplexwise_points(sigma, contraction, x, p, s_grid, L) -> list:
-    """The pairs of ``simplexwise_retraction`` at each s of ``s_grid``.
+@functools.lru_cache(maxsize=64)
+def _grid(s_grid: tuple):
+    """The values of an s grid as a column, the cutoffs mu, nu and g at each,
+    and the positions of its values 0 and 1."""
+    s = np.array(s_grid, dtype=float)[:, None]
+    s.flags.writeable = False
+    return (s, tuple(map(cutoff_mu, s_grid)), tuple(map(cutoff_nu, s_grid)),
+            tuple(map(cutoff_g, s_grid)),
+            [i for i, v in enumerate(s_grid) if v == 0.0],
+            [i for i, v in enumerate(s_grid) if v == 1.0])
 
-    The radial projection, the height blend and the differences
-    ``psi0[v] - x[v]`` depend only on (sigma, x, t), so they are computed once
-    for the whole grid; each point is then ``combine(x, psi0, s)``, the same
-    floats over the same keys in the same order.
+
+def _bases(contraction, base: int, times) -> tuple:
+    """``contraction(base, time)`` at each time, called once per distinct
+    time, in order of first appearance."""
+    seen = {}
+    for time in times:
+        if time not in seen:
+            seen[time] = contraction(base, time)
+    return tuple(seen[time] for time in times)
+
+
+def _simplexwise_stage(sigma: tuple, contraction, x: BarycentricPoint, p: ConePoint,
+                       s_grid: tuple, L: float) -> "TraceStage":
+    """``simplexwise_retraction`` at each s of ``s_grid`` over the sorted
+    simplex sigma, as one stage.
+
+    The radial projection psi0, its height u and the blended height depend
+    only on (sigma, x, t), so they are computed once.  The simplex points are
+    the rows of one matrix ``a + s * d``, with a = x and d = psi0 - x over
+    the keys of ``combine`` in its key order.  Each row gets
+    ``BarycentricPoint``'s drop and renormalisation, its total summed column
+    by column as ``BarycentricPoint`` sums it, so each is the point
+    ``combine(x, psi0, s)``, float for float.  At s = 0 and s = 1 the rows
+    are x and psi0 themselves.
     """
     t = p.t
-    psi0, u = radial_projection(sigma, x, t, L)
-    w = height_blend(sigma, x, t, L, u=u)
-    diff = {v: (x[v], psi0[v] - x[v]) for v in set(x.weights) | set(psi0.weights)}
-    out = []
-    for s in s_grid:
-        if s == 0.0:
-            theta = x
-        elif s == 1.0:
-            theta = psi0
-        else:
-            theta = BarycentricPoint({v: a + s * d for v, (a, d) in diff.items()})
-        mu_s = cutoff_mu(s)
-        base = contraction(p.base, 0.0 if mu_s == 0.0 else mu_s * (t - u))
-        out.append((theta, ConePoint(base, lerp(t, w, cutoff_nu(s)))))
-    return out
+    coords = [x[v] for v in sigma]
+    psi0, u = _radial(sigma, x, coords, t, L)
+    w = _blend(coords, t, u, L)
+    keys = tuple(set(x.weights) | set(psi0.weights))
+    a = np.array([x[v] for v in keys])
+    b = np.array([psi0[v] for v in keys])
+    s, mus, nus, _gs, zeros, ones = _grid(s_grid)
+    weights = a + s * (b - a)
+    weights = np.where(weights > WEIGHT_DROP, weights, 0.0)
+    totals = weights.cumsum(axis=1)[:, -1].tolist()
+    # every kept weight is positive, so a row is empty when its total is 0
+    if 0.0 in totals:
+        raise ComplexError("barycentric point needs positive weight")
+    for i, total in enumerate(totals):
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            weights[i] /= total
+    for i in zeros:
+        weights[i] = a
+    for i in ones:
+        weights[i] = b
+    times = [0.0 if mu == 0.0 else mu * (t - u) for mu in mus]
+    return TraceStage._sampled(sigma, s_grid, keys, weights,
+                               _bases(contraction, p.base, times),
+                               tuple(lerp(t, w, nu) for nu in nus))
 
 
-@dataclass(frozen=True)
+def _cone_stage(sigma: tuple, contraction, x: BarycentricPoint, p: ConePoint,
+                s_grid: tuple) -> "TraceStage":
+    """``cone_retraction_phi`` at each s of ``s_grid``, with the simplex
+    point x held fixed, as one stage."""
+    t = p.t
+    gs = _grid(s_grid)[3]
+    weights = np.full((len(s_grid), len(x.weights)), list(x.weights.values()))
+    return TraceStage._sampled(sigma, s_grid, tuple(x.weights), weights,
+                               _bases(contraction, p.base, [s * t for s in s_grid]),
+                               tuple(t if g == 1.0 else g * t for g in gs))
+
+
+def _point(keys: tuple, row: list, base, height: float) -> CylinderPoint:
+    """The cylinder point whose simplex weights are the nonzero entries of
+    row over keys."""
+    theta = BarycentricPoint._from_weights({v: c for v, c in zip(keys, row) if c})
+    return CylinderPoint(theta, ConePoint(base, height))
+
+
 class TraceStage:
-    simplex: tuple
-    s_grid: tuple
-    points: tuple
+    """One stage of a trace: the points at each s of ``s_grid`` under the
+    retraction over ``simplex``.
+
+    A stage that ``full_cylinder_retraction`` samples keeps arrays: a weight
+    matrix over the vertices ``_keys``, one row per s with 0.0 where a weight
+    is dropped, and the bases and heights.  It builds ``points`` from them
+    on first read, and its last point ``end`` at once.
+    """
+
+    def __init__(self, simplex: tuple, s_grid: tuple, points: tuple):
+        self.simplex, self.s_grid, self.points = tuple(simplex), tuple(s_grid), tuple(points)
+        self.end = self.points[-1] if self.points else None
+
+    @classmethod
+    def _sampled(cls, simplex, s_grid, keys, weights, bases, heights) -> "TraceStage":
+        stage = cls.__new__(cls)
+        stage.simplex, stage.s_grid = tuple(simplex), tuple(s_grid)
+        stage._keys, stage._weights, stage._bases, stage._heights = keys, weights, bases, heights
+        stage.end = _point(keys, weights[-1].tolist(), bases[-1], heights[-1])
+        return stage
+
+    @functools.cached_property
+    def points(self) -> tuple:
+        return tuple(map(functools.partial(_point, self._keys), self._weights.tolist(),
+                         self._bases, self._heights))
+
+    def _fields(self) -> tuple:
+        return self.simplex, self.s_grid, self.points
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TraceStage) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "TraceStage(simplex=%r, s_grid=%r, points=%r)" % self._fields()
+
+    def _in_cylinder(self, cyl: CylinderSpace) -> bool:
+        """Whether every point of this sampled stage lies in the cylinder.  A
+        point's membership depends only on its support, its base and whether
+        its height lies in [0, L], so one check is made per such key."""
+        inside = [0.0 <= h <= cyl.L for h in self._heights]
+        distinct = set(zip(map(tuple, (self._weights != 0.0).tolist()), self._bases, inside))
+        return all(cyl._holds(frozenset(itertools.compress(self._keys, on)), base, ok)
+                   for on, base, ok in distinct)
 
 
 @dataclass(frozen=True)
@@ -290,9 +401,7 @@ class DeformationTrace:
 
     @property
     def end(self) -> CylinderPoint:
-        if not self.stages:
-            return self.start
-        return self.stages[-1].points[-1]
+        return self.stages[-1].end if self.stages else self.start
 
     @property
     def ends_in_base(self) -> bool:
@@ -319,7 +428,7 @@ def full_cylinder_retraction(cyl: CylinderSpace, contractions: dict,
     """Compose the simplex-wise retractions from the top skeleton down until
     the point reaches the base slice.
 
-    Each stage replays the homotopy of the current support simplex over the
+    Each stage samples the homotopy of the current support simplex over the
     s grid; the support either loses a vertex or the height drops to zero,
     so the composition terminates.
     """
@@ -334,7 +443,7 @@ def full_cylinder_retraction(cyl: CylinderSpace, contractions: dict,
         guard += 1
         if guard > max_stages:
             raise MetricError("cylinder retraction failed to terminate")
-        supp = frozenset(cur.theta.support)
+        supp = cur.theta.support
         if supp not in contractions:
             raise MetricError(
                 f"missing contraction data for simplex {sorted(supp)}"
@@ -342,17 +451,12 @@ def full_cylinder_retraction(cyl: CylinderSpace, contractions: dict,
         con = contractions[supp]
         sigma = tuple(sorted(supp))
         if len(sigma) == 1:
-            pts = [CylinderPoint(cur.theta, cone_retraction_phi(con, cur.cone, s))
-                   for s in grid]
+            stage = _cone_stage(sigma, con, cur.theta, cur.cone, grid)
         else:
-            pts = [CylinderPoint(nx_, nc) for nx_, nc in _simplexwise_points(
-                sigma, con, cur.theta, cur.cone, grid, cyl.L)]
-        # a point's membership depends only on its support, its base and
-        # whether its height lies in [0, L]: check one point per such key
-        distinct = {(q.theta.support, q.cone.base, 0.0 <= q.cone.t <= cyl.L): q for q in pts}
-        membership_ok &= all(cyl.check_membership(q) for q in distinct.values())
-        stages.append(TraceStage(sigma, grid, tuple(pts)))
-        cur = pts[-1]
+            stage = _simplexwise_stage(sigma, con, cur.theta, cur.cone, grid, cyl.L)
+        membership_ok &= stage._in_cylinder(cyl)
+        stages.append(stage)
+        cur = stage.end
     return DeformationTrace(point, tuple(stages), membership_ok)
 
 

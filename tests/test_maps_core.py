@@ -7,17 +7,18 @@ import functools
 import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import octahedral_cover, three_arc_cover
-from nervekit.complex import BarycentricPoint
+from nervekit.complex import WEIGHT_DROP, BarycentricPoint
 from nervekit.cone import ConePoint, CylinderPoint, CylinderSpace
-from nervekit.metric import FiniteMetricSpace, _greedy_map, gh_distance_bound
+from nervekit.metric import METRIC_TOL, FiniteMetricSpace, _greedy_map, gh_distance_bound
 from nervekit.retraction import (build_contractions, full_cylinder_retraction,
                                  simplexwise_retraction)
 from nervekit.samples import circle_space, line_space
@@ -36,19 +37,30 @@ def _cylinder(name):
 
 @st.composite
 def cylinder_points(draw, min_vertices=1):
-    """A cover name and a point of its cylinder: a nerve simplex, Dirichlet
+    """A cover name and a point over its cylinder: a nerve simplex, Dirichlet
     weights on it, a base in its intersection and a uniform height in
-    [0, L), or a height on the base slice, half way or at the apex."""
+    [0, L), or a height on the base slice, half way or at the apex.  Some
+    heights lie within ``METRIC_TOL`` of 0 or of L, on either side, and some
+    weights sit one ulp below, at or one ulp above ``WEIGHT_DROP``."""
     name = draw(st.sampled_from(sorted(CYLINDER_COVERS)))
     cover, _cyl, _cons, simplices = _cylinder(name)
     sigma = draw(st.sampled_from([s for s in simplices if len(s) >= min_vertices]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     members = sorted(frozenset.intersection(*(cover.sets[j] for j in sigma)))
     base = int(members[rng.integers(len(members))])
-    t = draw(st.sampled_from([None, None, None, 0.0, L / 2.0, L]))
+    t = draw(st.sampled_from([None, None, None, 0.0, L / 2.0, L, "near 0", "near L"]))
     if t is None:
         t = float(rng.uniform(0.0, L))
+    elif t == "near 0":
+        t = draw(st.sampled_from([math.nextafter(0.0, -1.0), math.nextafter(0.0, 1.0),
+                                  float(rng.uniform(-METRIC_TOL, METRIC_TOL))]))
+    elif t == "near L":
+        t = draw(st.sampled_from([math.nextafter(L, 0.0), math.nextafter(L, 2 * L),
+                                  L + float(rng.uniform(-METRIC_TOL, METRIC_TOL))]))
     weights = rng.dirichlet(np.ones(len(sigma)))
+    for v in draw(st.sets(st.integers(0, len(sigma) - 1), max_size=len(sigma) - 1)):
+        weights[v] = draw(st.sampled_from([math.nextafter(WEIGHT_DROP, 0.0), WEIGHT_DROP,
+                                           math.nextafter(WEIGHT_DROP, 1.0)]))
     return name, CylinderPoint(BarycentricPoint(dict(zip(sigma, weights))),
                                ConePoint(base, t))
 
@@ -58,14 +70,37 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _outcome(retract, *args, **kwargs):
+    """The JSON text of a trace, or the type and message of what it raised."""
+    try:
+        return _dump(retract(*args, **kwargs).to_json())
+    except Exception as exc:  # compared with the oracle's, type and message
+        return type(exc), str(exc)
+
+
 @given(cylinder_points(), st.sampled_from([1, 2, 3, 7, 16]))
 @settings(max_examples=150, deadline=None)
 def test_trace_matches_per_step_replay(case, n_steps):
     name, p = case
     _cover, cyl, cons, _simplices = _cylinder(name)
+    assert (_outcome(full_cylinder_retraction, cyl, cons, p, n_steps=n_steps)
+            == _outcome(oracles.full_cylinder_retraction, cyl, cons, p, n_steps=n_steps))
+
+
+@given(cylinder_points(), st.sampled_from([1, 2, 16]))
+@settings(max_examples=60, deadline=None)
+def test_lazy_stages_equal_the_eager_replay(case, n_steps):
+    # a trace keeps each stage's points as arrays until they are read
+    name, p = case
+    _cover, cyl, cons, _simplices = _cylinder(name)
+    assume(cyl.check_membership(p))
     got = full_cylinder_retraction(cyl, cons, p, n_steps=n_steps)
+    copy = pickle.loads(pickle.dumps(got))
     want = oracles.full_cylinder_retraction(cyl, cons, p, n_steps=n_steps)
-    assert _dump(got.to_json()) == _dump(want.to_json())
+    assert got.stages == want.stages
+    assert got == want and got.end == want.end
+    assert [stage.end for stage in got.stages] == [stage.points[-1] for stage in want.stages]
+    assert copy.to_json() == got.to_json()
 
 
 @given(cylinder_points(min_vertices=2),
@@ -78,10 +113,11 @@ def test_simplexwise_step_matches_oracle(case, s_values):
     sigma = tuple(sorted(p.theta.support))
     con = cons[frozenset(sigma)]
     for s in s_values:
-        got = CylinderPoint(*simplexwise_retraction(sigma, con, p.theta, p.cone, s, L))
-        want = CylinderPoint(*oracles.simplexwise_retraction(sigma, con, p.theta,
-                                                             p.cone, s, L))
-        assert _dump(got.to_json()) == _dump(want.to_json())
+        got = _outcome(lambda: CylinderPoint(*simplexwise_retraction(
+            sigma, con, p.theta, p.cone, s, L)))
+        want = _outcome(lambda: CylinderPoint(*oracles.simplexwise_retraction(
+            sigma, con, p.theta, p.cone, s, L)))
+        assert got == want
 
 
 @st.composite

@@ -165,6 +165,20 @@ def _pair(data, n, distinct=True):
     return min(i, k), max(i, k)
 
 
+def _skewed(data, d, keep=()):
+    """d, or, when the drawn flag is set, d plus an asymmetric perturbation
+    of at most ``METRIC_TOL``/2 above the diagonal, outside the rows and
+    columns ``keep``.  Validation accepts the asymmetry, and the triangle
+    check then takes its full kernel instead of the symmetric half."""
+    if not data.draw(st.booleans(), label="skew"):
+        return d
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="skew seed"))
+    noise = np.triu(rng.uniform(0.0, METRIC_TOL / 2.0, size=d.shape), 1)
+    noise[list(keep)] = 0.0
+    noise[:, list(keep)] = 0.0
+    return d + noise
+
+
 def _rejected(d) -> str:
     with _small_blocks(), pytest.raises(MetricError) as exc:
         FiniteMetricSpace(d)
@@ -211,6 +225,7 @@ def test_asymmetric_pair_is_named(data, size):
 def test_triangle_violation_is_named(data, excess):
     d = _euclidean(data, min_n=3)
     i, k = _pair(data, len(d))
+    d = _skewed(data, d, keep=(i, k))
     # lengthening the one edge (i,k) past its shortest detour breaks only
     # the triangles with (i,k) as the long side
     via = d[i, :] + d[:, k]
@@ -253,6 +268,21 @@ def test_kernel_matches_blocked_oracle(data, cpus):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="noise"))
         f = rng.uniform(0.5, 1.5, size=d.shape)
         d = d * (f + f.T) / 2.0
+    d = _skewed(data, d)
+    with _small_blocks(), mock.patch("os.cpu_count", return_value=cpus):
+        bad = metric._triangle_defects(d)
+    assert bad.tobytes() == triangle_defects(d).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_kernel_keeps_the_signs_of_zeros(cpus):
+    # a repeated point whose 0.0 faces a -0.0 across the diagonal: equal as
+    # numbers, not as bits, so the half kernel must not mirror it (rows 3
+    # and 38 fall in different blocks)
+    c = np.random.default_rng(3).uniform(0.0, 1.0, size=(40, 2))
+    c[38] = c[3]
+    d = np.array(FiniteMetricSpace.from_coords(c).dist)
+    d[38, 3] = -0.0
     with _small_blocks(), mock.patch("os.cpu_count", return_value=cpus):
         bad = metric._triangle_defects(d)
     assert bad.tobytes() == triangle_defects(d).tobytes()

@@ -3,8 +3,10 @@
 Stages, as ``perfbench/workloads.py`` runs them: the cylinder build (space,
 octahedral cover, ``CylinderSpace``, ``build_contractions``), the 3,000
 ``full_cylinder_retraction`` traces, ``gh_distance_bound`` on the 256-point
-circle pair, the cover lift plus ``homotopy_equivalence_via_nerves``, and
-the chart gluing (atlas, ``glue_maps``, ``glue_homotopies``).  Each stage
+circle pair, the cover lift plus ``homotopy_equivalence_via_nerves``, the
+validation of the strained grid's 445 x 445 distance matrix
+(``FiniteMetricSpace``, whose triangle check is the cubic part) and the
+chart gluing on it (atlas, ``glue_maps``, ``glue_homotopies``).  Each stage
 reports its median wall time (``time.perf_counter``) over ``PASSES`` passes
 and the process's peak RSS after its first pass (``getrusage``).  The
 workload's own set-up, which builds the retraction blend grids, runs before
@@ -70,8 +72,10 @@ def stage(src: str) -> dict:
             nk.metric.PointMap(src_space, tgt, inp["relabel"]), inp["epsilon"])
         return nk.stability.homotopy_equivalence_via_nerves(nk.stability.lift_cover(arcs, cert))
 
-    def gluing():
-        grid = nk.metric.FiniteMetricSpace(inp["grid"])
+    def grid_validation():
+        return nk.metric.FiniteMetricSpace(inp["grid"])
+
+    def gluing(grid):
         m, step = inp["grid_m"], inp["step"]
         config = nk.stability.GluingConfig(grid, inp["D"], mu=inp["mu"])
         g = {x: Maps.shift(x, m, step) for x in config.D1}
@@ -98,7 +102,8 @@ def stage(src: str) -> dict:
         timed("traces", lambda: traces(built))
         bracket = timed("gh_distance_bound", gh)
         timed("lift_equivalence", lift)
-        timed("gluing", gluing)
+        grid = timed("grid_validation", grid_validation)
+        timed("gluing", lambda: gluing(grid))
     stages = {name: {"s": round(statistics.median(ts), 3),
                      "s_all": [round(t, 3) for t in ts],
                      "peak_rss_mb": rss[name]} for name, ts in times.items()}
