@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -24,13 +26,66 @@ from .stability import (GluingConfig, build_gluing_atlas, glue_maps,
                         homotopy_equivalence_via_nerves, lift_cover)
 
 
+def _key(k) -> str:
+    """A dict key as json coerces it: a number, bool or None as its value."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _dumps(o, nl: str = "\n") -> str:
+    """``json.dumps(o, sort_keys=True, indent=2)``, byte for byte, for a
+    value whose closing bracket goes after nl.
+
+    With an indent, json runs its pure-Python encoder, a generator per
+    container; this is one recursion that returns strings, with json's type
+    order, key coercion and errors (a circular value recurses until
+    ``RecursionError`` instead of json's ``ValueError``)."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if all(type(v) is int for v in o):
+            parts = map(int.__repr__, o)
+        else:
+            parts = [_dumps(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(parts) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        parts = [encode_basestring_ascii(_key(k)) + ": " + _dumps(v, inner)
+                 for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def _emit(obj: dict, path: str, args: argparse.Namespace):
     obj = dict(obj)
     obj["config"] = {
         k: v for k, v in sorted(vars(args).items()) if k != "func"
     }
     obj["version"] = __version__
-    text = json.dumps(obj, sort_keys=True, indent=2)
+    text = _dumps(obj)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

@@ -164,7 +164,7 @@ class SimplicialComplex:
 
     def save(self, path: str):
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
+            fh.write(json.dumps(self.to_json(), sort_keys=True))
 
     @classmethod
     def load(cls, path: str) -> "SimplicialComplex":

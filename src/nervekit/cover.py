@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -123,7 +124,7 @@ class Cover:
 
     def save(self, path: str):
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
+            fh.write(json.dumps(self.to_json(), sort_keys=True))
 
     @classmethod
     def load(cls, space: FiniteMetricSpace, path: str) -> "Cover":
@@ -191,6 +192,53 @@ def _index_levels(cover: Cover, max_order: int):
     yield level
 
 
+def _records(cover: Cover, max_order: int):
+    """Yield, for orders 1, 2, ... up to max_order, the list of (sorted index
+    tuple, members, center) of the nonempty intersections of that many sets,
+    in the order of ``_index_levels``.
+
+    Each distinct member bitset is unpacked once, by one ``np.unpackbits``
+    per level over the bitsets not seen before, into a sorted point array
+    and a frozenset; every record with those members shares them.  Centers
+    are as documented in ``intersections``.
+    """
+    if max_order < 1:
+        raise CoverError("max_order must be >= 1")
+    n = cover.space.n
+    width = (n + 7) // 8
+    shared = {}  # member bitset -> (sorted points, frozenset)
+    for order, level in enumerate(_index_levels(cover, max_order), start=1):
+        new = list(dict.fromkeys(meet for _idx, _bits, meet in level if meet not in shared))
+        if new:
+            raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in new), np.uint8)
+            bits = np.unpackbits(raw.reshape(len(new), width), axis=1, count=n, bitorder="little")
+            points = np.flatnonzero(bits) % n
+            ends = np.cumsum(bits.sum(axis=1)).tolist()
+            listed = points.tolist()
+            for meet, a, b in zip(new, [0] + ends, ends):
+                shared[meet] = (points[a:b], frozenset(listed[a:b]))
+        if order == 1:
+            yield [(idx, shared[meet][1], cover.centers[idx[0]]) for idx, _bits, meet in level]
+            continue
+        parts = [shared[meet][0] for _idx, _bits, meet in level]
+        sizes = np.fromiter(map(len, parts), np.intp, len(parts))
+        points = np.concatenate(parts)
+        rows = np.repeat(np.arange(len(parts)), sizes)
+        sets = np.fromiter(chain.from_iterable([idx for idx, _bits, _meet in level]),
+                           np.intp, len(level) * order).reshape(len(level), order)
+        # the complement of an intersection is the union of the sets'
+        # complements, so a member's clearance is its least per-set clearance
+        clearance = cover.clearance
+        clear = clearance[points, sets[rows, 0]]
+        for t in range(1, order):
+            clear = np.minimum(clear, clearance[points, sets[rows, t]])
+        # per record: the first member, so the lowest point, of largest clearance
+        starts = np.cumsum(sizes) - sizes
+        best = np.flatnonzero(clear == np.maximum.reduceat(clear, starts)[rows])
+        centers = points[best[np.searchsorted(best, starts)]].tolist()
+        yield [(idx, shared[meet][1], c) for (idx, _bits, meet), c in zip(level, centers)]
+
+
 def intersections(cover: Cover, max_order: int):
     """All nonempty intersections of at most max_order sets.
 
@@ -199,42 +247,11 @@ def intersections(cover: Cover, max_order: int):
     keep the cover's designated centers; higher-order records get as center
     the member with the largest clearance from the complement of the
     intersection, ties broken by lowest point index, so a whole-space
-    intersection takes its lowest member.
+    intersection takes its lowest member.  Records with equal members share
+    one frozenset.
     """
-    if max_order < 1:
-        raise CoverError("max_order must be >= 1")
-    clearance = cover.clearance
-    records = []
-    for order, level in enumerate(_index_levels(cover, max_order), start=1):
-        indices = [idx for idx, _bits, _members in level]
-        if order == 1:
-            records.extend(
-                IntersectionRecord(frozenset(idx), cover.sets[idx[0]], cover.centers[idx[0]])
-                for idx in indices
-            )
-            continue
-        sets = np.array(indices)
-        inside = cover.member[:, sets[:, 0]]
-        for t in range(1, order):
-            inside &= cover.member[:, sets[:, t]]
-        rows, points = np.nonzero(inside.T)
-        # the complement of an intersection is the union of the sets'
-        # complements, so a member's clearance is its least per-set clearance
-        clear = clearance[points, sets[rows, 0]]
-        for t in range(1, order):
-            clear = np.minimum(clear, clearance[points, sets[rows, t]])
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        # per record: largest clearance first, then lowest point index
-        ranked = np.lexsort((points, -clear, rows))
-        centers = points[ranked[starts]].tolist()
-        members = points.tolist()
-        starts = starts.tolist()
-        bounds = zip(starts, starts[1:] + [len(members)])
-        records.extend(
-            IntersectionRecord(frozenset(idx), frozenset(members[a:b]), c)
-            for idx, (a, b), c in zip(indices, bounds, centers)
-        )
-    return records
+    return [IntersectionRecord(frozenset(idx), members, center)
+            for level in _records(cover, max_order) for idx, members, center in level]
 
 
 @dataclass(frozen=True)
@@ -290,11 +307,11 @@ def _star_shaped(space: FiniteMetricSpace, members: frozenset, center: int) -> b
     <= max_m R_m`` are tested, and they hold every such x: entries are at
     least -METRIC_TOL and rounding is monotone, so ``fl(d[x, c] - METRIC_TOL)
     <= fl(d[m, x] + d[x, c]) <= R_m``."""
-    idx = sorted(members)
+    idx = np.array(sorted(members))
     to_center = space.dist[center]  # d[x, c]: the stored matrix is exactly symmetric
     reach = to_center[idx] + BETWEEN_TOL
     near = np.flatnonzero(to_center - METRIC_TOL <= reach.max())
-    between = space.dist[np.ix_(idx, near)] + to_center[near] <= reach[:, None]
+    between = space.dist[idx[:, None], near] + to_center[near] <= reach[:, None]
     return set(near[between.any(axis=0)].tolist()) <= members
 
 
@@ -307,21 +324,22 @@ def goodness_report(cover: Cover, max_order: int = 8) -> GoodnessReport:
     """
     from .homology import _proxy_betti
 
-    proxies = {}  # members -> (proxy scale, Betti ranks)
+    proxies = {}  # members -> (proxy scale, Betti ranks, trivial)
     stars = {}  # (members, center) -> star-shaped
     entries = []
-    for rec in intersections(cover, max_order):
-        if rec.members not in proxies:
-            idx = np.array(sorted(rec.members))
-            # a principal submatrix: exactly symmetric, zero diagonal, >= -METRIC_TOL
-            sub = cover.space.dist[idx[:, None], idx]
-            scale = 2.0 * _nn_spacing(sub) if len(idx) > 1 else 1.0
-            proxies[rec.members] = (scale, _proxy_betti(sub, scale))
-        scale, ranks = proxies[rec.members]
-        key = (rec.members, rec.center)
-        if key not in stars:
-            stars[key] = _star_shaped(cover.space, *key)
-        trivial = ranks[0] == 1 and all(r == 0 for r in ranks[1:])
-        entries.append(GoodnessEntry(indices=tuple(sorted(rec.indices)), star_shaped=stars[key],
-                                     betti=ranks, proxy_scale=scale, contractible_proxy=trivial))
+    for level in _records(cover, max_order):
+        for idx, members, center in level:
+            if members not in proxies:
+                pts = np.array(sorted(members))
+                # a principal submatrix: exactly symmetric, zero diagonal, >= -METRIC_TOL
+                sub = cover.space.dist[pts[:, None], pts]
+                scale = 2.0 * _nn_spacing(sub) if len(pts) > 1 else 1.0
+                ranks = _proxy_betti(sub, scale)
+                proxies[members] = (scale, ranks, ranks[0] == 1 and not any(ranks[1:]))
+            scale, ranks, trivial = proxies[members]
+            key = (members, center)
+            if key not in stars:
+                stars[key] = _star_shaped(cover.space, members, center)
+            entries.append(GoodnessEntry(indices=idx, star_shaped=stars[key], betti=ranks,
+                                         proxy_scale=scale, contractible_proxy=trivial))
     return GoodnessReport(tuple(entries))

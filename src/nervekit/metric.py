@@ -28,6 +28,32 @@ class MetricError(ValueError):
     """Raised when data fails metric validation or a precondition."""
 
 
+def _row_blocks(n: int, half: bool, cpus: int) -> list:
+    """The (first row, first column, rows) blocks of the triangle kernel: of
+    ``BUDGET`` bytes each, or, when those would give one of cpus threads
+    less than its share of the cells, one block per thread, all with the
+    same number of cells."""
+    # rho[i]: the rows left at the start of the i-th block from the end when
+    # the cpus blocks hold the same cells, in units where the last block
+    # has 1 row; a half block of h rows from a spans h * (n - a) cells
+    rho = [1.0]
+    for _ in range(cpus - 1):
+        r = rho[-1]
+        rho.append((r + math.sqrt(r * r + 4.0)) / 2.0 if half else r + 1.0)
+    share = n * n / rho[-1] ** (2 if half else 1)
+    if n * n > BUDGET // 8 > share:
+        starts = sorted({n - round(n * r / rho[-1]) for r in rho})
+        return [(a, a if half else 0, b - a) for a, b in zip(starts, starts[1:] + [n])]
+    blocks = []
+    a = 0
+    while a < n:
+        lo = a if half else 0
+        step = max(1, BUDGET // (8 * (n - lo)))
+        blocks.append((a, lo, min(step, n - a)))
+        a += step
+    return blocks
+
+
 def _triangle_defects(d: np.ndarray) -> np.ndarray:
     """``bad[i, k] = d[i, k] - min_j (d[i, j] + d[j, k])``: how far each
     entry exceeds its shortest two-step detour.
@@ -38,7 +64,10 @@ def _triangle_defects(d: np.ndarray) -> np.ndarray:
     additions are the same and min does not depend on order, so ``bad`` is
     the same bit for bit.  The blocks are dealt out to up to
     ``os.cpu_count()`` threads (numpy releases the GIL inside its loops);
-    each block writes only its own rows of ``bad``.
+    each block writes only its own rows of ``bad``.  When blocks of
+    ``BUDGET`` bytes would give a thread less than its share of the cells
+    (n = 200 on 2 CPUs: 163 rows, then 37), each thread gets one block
+    instead, all with the same number of cells.
 
     When d is symmetric bit for bit, so is ``bad``: ``bad[k, i]`` folds
     d[k, j] + d[j, i] = d[j, k] + d[i, j], the same sums as ``bad[i, k]``
@@ -52,20 +81,15 @@ def _triangle_defects(d: np.ndarray) -> np.ndarray:
         return d - np.min(d[:, :, None] + d[None, :, :], axis=1)
     # bit for bit, so that a 0.0 facing a -0.0 keeps the full kernel
     half = np.array_equal(d.view(np.int64), d.T.view(np.int64))
-    blocks = []  # (first row, first column, rows)
-    a = 0
-    while a < n:
-        lo = a if half else 0
-        step = max(1, BUDGET // (8 * (n - lo)))
-        blocks.append((a, lo, min(step, n - a)))
-        a += step
+    cpus = os.cpu_count() or 1
+    blocks = _row_blocks(n, half, cpus)
     bad = np.empty_like(d)
-    workers = min(os.cpu_count() or 1, len(blocks))
+    workers = min(cpus, len(blocks))
     errors = []
 
     def fold(first):
         try:
-            buffers = np.empty((2, max(BUDGET // 8, n)))
+            buffers = np.empty((2, max(h * (n - lo) for _a, lo, h in blocks)))
             for a, lo, h in blocks[first::workers]:
                 rows = d[a:a + h]
                 b, tb = buffers[:, :h * (n - lo)].reshape(2, h, n - lo)

@@ -1,4 +1,5 @@
-"""Straightforward reference implementations of intersection enumeration,
+"""Straightforward reference implementations of intersection enumeration
+(and the member-column enumeration it replaced),
 the downward-closure check, maximal simplices, complement distances, the
 per-point cutoff weights of the partition of unity, dense GF(2) homology,
 Vietoris-Rips cliques, star-shapedness over every column, the goodness
@@ -27,7 +28,7 @@ import numpy as np
 from nervekit.cone import ConePoint, CylinderPoint
 from nervekit.complex import BarycentricPoint, ComplexError, combine
 from nervekit.cover import (BETWEEN_TOL, GoodnessEntry, GoodnessReport,
-                            IntersectionRecord)
+                            IntersectionRecord, _index_levels)
 from nervekit.homology import BettiVector, betti as complex_betti, vr_complex
 from nervekit.metric import FiniteMetricSpace, MetricError, _map_epsilon
 from nervekit.retraction import (DeformationTrace, TraceStage,
@@ -77,6 +78,43 @@ def intersections(cover, max_order):
         frontier = nxt
         if not frontier:
             break
+    return records
+
+
+def member_column_intersections(cover, max_order):
+    """The index sets of ``_index_levels``, each level's members found by
+    ANDing full ``Cover.member`` columns per record and taking ``nonzero``
+    of the (records x n) result, and its centers by one clearance
+    ``lexsort``: the enumeration ``intersections`` ran before it read the
+    members off the enumeration's own bitsets."""
+    clearance = cover.clearance
+    records = []
+    for order, level in enumerate(_index_levels(cover, max_order), start=1):
+        indices = [idx for idx, _bits, _members in level]
+        if order == 1:
+            records.extend(
+                IntersectionRecord(frozenset(idx), cover.sets[idx[0]], cover.centers[idx[0]])
+                for idx in indices
+            )
+            continue
+        sets = np.array(indices)
+        inside = cover.member[:, sets[:, 0]]
+        for t in range(1, order):
+            inside &= cover.member[:, sets[:, t]]
+        rows, points = np.nonzero(inside.T)
+        clear = clearance[points, sets[rows, 0]]
+        for t in range(1, order):
+            clear = np.minimum(clear, clearance[points, sets[rows, t]])
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        ranked = np.lexsort((points, -clear, rows))
+        centers = points[ranked[starts]].tolist()
+        members = points.tolist()
+        starts = starts.tolist()
+        bounds = zip(starts, starts[1:] + [len(members)])
+        records.extend(
+            IntersectionRecord(frozenset(idx), frozenset(members[a:b]), c)
+            for idx, (a, b), c in zip(indices, bounds, centers)
+        )
     return records
 
 

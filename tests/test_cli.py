@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import three_arc_cover
-from nervekit.cli import main
+from nervekit.cli import _dumps, main
 from nervekit.samples import circle_space, grid_with_strainers
 
 
@@ -38,6 +40,57 @@ def test_cover_subcommand_writes_files(tmp_path, circle_files):
     assert rep["advisory"] is True
     assert rep["version"]
     assert rep["config"]["radius"] == 0.9
+
+
+def test_cover_report_is_json_dumps_indent_2(tmp_path, circle_files):
+    _, space_path = circle_files
+    report = tmp_path / "report.json"
+    assert main(["cover", space_path, "--radius", "0.9", "--seed", "1",
+                 "--out", str(tmp_path / "cover.json"), "--report", str(report)]) == 0
+    text = report.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
+    st.floats(), st.floats().map(np.float64), st.just(-0.0),
+    st.text(), st.sampled_from(['"q"', "back\\slash", "\x00\x1f\n\t", "\u00e9\u2028\U0001f600"]),
+)
+KEYS = (st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
+        st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans()))
+REJECTED = st.sampled_from([np.int64(3), {1}, b"x", 1j, object()])
+
+
+def _values(leaves):
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids), st.lists(kids).map(tuple),
+        *(st.dictionaries(k, kids) for k in KEYS),
+        st.dictionaries(st.one_of(*KEYS), kids),
+        st.dictionaries(st.tuples(st.integers()), kids, max_size=1),
+    ), max_leaves=25)
+
+
+def _same_as_json(value):
+    try:
+        want = json.dumps(value, sort_keys=True, indent=2)
+    except TypeError as exc:
+        with pytest.raises(TypeError) as got:
+            _dumps(value)
+        assert str(got.value) == str(exc)
+    else:
+        assert _dumps(value) == want
+
+
+@given(_values(SCALARS))
+@settings(max_examples=300, deadline=None)
+def test_dumps_equals_json_dumps(value):
+    _same_as_json(value)
+
+
+@given(_values(st.one_of(SCALARS, REJECTED)))
+@settings(max_examples=150, deadline=None)
+def test_dumps_rejects_what_json_rejects(value):
+    _same_as_json(value)
 
 
 def test_cover_subcommand_rejects_bad_radius(tmp_path, circle_files):

@@ -54,6 +54,36 @@ def _check_records(cov, max_order):
     got = intersections(cov, max_order)
     assert got == oracles.intersections(cov, max_order)
     assert got == oracles.brute_force_intersections(cov, max_order)
+    assert got == oracles.member_column_intersections(cov, max_order)
+
+
+@st.composite
+def covers_with_whole_space(draw):
+    """``covers()``, at times with two sets of every point added: each
+    member's clearance from their intersection is inf, so its center is
+    its lowest point."""
+    cov = draw(covers())
+    if draw(st.booleans()):
+        n = cov.space.n
+        centers = tuple(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+        cov = Cover(cov.space, cov.sets + (range(n), range(n)), cov.centers + centers)
+    return cov
+
+
+@given(covers_with_whole_space(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_records_equal_member_column_enumeration(cov, data):
+    """Same indices, members, centers and order as ANDing member columns,
+    also past the multiplicity; records with equal members share one
+    frozenset."""
+    top = int(cov.multiplicities().max())
+    max_order = data.draw(st.integers(1, top + 2))
+    got = intersections(cov, max_order)
+    assert got == oracles.member_column_intersections(cov, max_order)
+    assert all(type(rec.center) is int for rec in got)
+    first = {}
+    for rec in got:
+        assert first.setdefault(rec.members, rec.members) is rec.members
 
 
 def _check_nerve(cov, max_dim):

@@ -296,6 +296,32 @@ def test_kernel_matches_blocked_oracle_at_full_budget():
     assert metric._triangle_defects(d).tobytes() == triangle_defects(d).tobytes()
 
 
+@pytest.mark.parametrize("half", [True, False])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [150, 200, 291, 445])
+def test_row_blocks_tile_the_rows(n, cpus, half):
+    blocks = metric._row_blocks(n, half, cpus)
+    assert [a for a, _lo, _h in blocks] == list(itertools.accumulate(
+        (h for _a, _lo, h in blocks[:-1]), initial=0))
+    assert sum(h for _a, _lo, h in blocks) == n
+    assert all(lo == (a if half else 0) for a, lo, _h in blocks)
+    assert all(h * (n - lo) <= max(metric.BUDGET // 8, n) for _a, lo, h in blocks)
+
+
+@pytest.mark.parametrize("half", [True, False])
+def test_few_blocks_give_each_thread_an_equal_share(half):
+    # blocks of BUDGET bytes at n = 200 would be 163 rows and then 37
+    n = 200
+    blocks = metric._row_blocks(n, half, 2)
+    cells = [h * (n - lo) for _a, lo, h in blocks]
+    assert len(blocks) == 2 and max(cells) - min(cells) <= n
+    d = np.array(random_point_space(n, dim=3, seed=6).dist)
+    if not half:
+        d[5, 190] += 1e-3
+    with mock.patch("os.cpu_count", return_value=2):
+        assert metric._triangle_defects(d).tobytes() == triangle_defects(d).tobytes()
+
+
 def test_kernel_raises_a_worker_error():
     d = np.array(random_point_space(70, dim=3, seed=1).dist)
     minimum = np.minimum

@@ -2,8 +2,11 @@
 
 Library stages: validation (``FiniteMetricSpace.from_coords``, or the
 constructor on a distance matrix), ``build_ball_cover(r=0.7, seed=1)``,
-``goodness_report(max_order=8)``, ``nerve_of`` at its default ``max_dim``,
-``PartitionOfUnity`` and ``nerve_matches_space(scale=0.12, max_dim=3)``.
+``intersections(max_order=8)`` (which computes the cover's cached
+``clearance``, so the later stages do not), ``goodness_report(max_order=8)``, the report
+write (``cli._emit`` of the goodness report, as the ``cover`` command writes
+it), ``nerve_of`` at its default ``max_dim``, ``PartitionOfUnity`` and
+``nerve_matches_space(scale=0.12, max_dim=3)``.
 Each stage reports its wall time (``time.perf_counter``) and the process's
 peak RSS after it (``getrusage``); the goodness report also its entry
 count and the sha256 of its sorted, indent-2 JSON.  The CLI chain writes the coordinates as JSON and runs
@@ -78,7 +81,8 @@ def stage(src: str, kind: str) -> dict:
     sys.path.insert(0, src)
     import numpy as np
 
-    from nervekit.cover import build_ball_cover, goodness_report
+    from nervekit import cli
+    from nervekit.cover import build_ball_cover, goodness_report, intersections
     from nervekit.homology import nerve_matches_space
     from nervekit.metric import FiniteMetricSpace
     from nervekit.nerve import nerve_of
@@ -102,7 +106,12 @@ def stage(src: str, kind: str) -> dict:
     space = timed("validation", lambda: FiniteMetricSpace.from_coords(coords)
                   if kind == "coords" else FiniteMetricSpace(dist))
     cover = timed("build_ball_cover", lambda: build_ball_cover(space, RADIUS, seed=SEED))
+    timed("intersections", lambda: intersections(cover, MAX_ORDER))
     goodness = timed("goodness_report", lambda: goodness_report(cover, max_order=MAX_ORDER))
+    args = cli.build_parser().parse_args([CLI[0][0], *CLI[0][1]])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        timed("report_write", lambda: cli._emit(goodness.to_json(), path, args))
     nerve = timed("nerve_of", lambda: nerve_of(cover))
     timed("PartitionOfUnity", lambda: PartitionOfUnity(cover))
     report = timed("nerve_matches_space",
