@@ -202,8 +202,10 @@ class FiniteMetricSpace:
 
     The matrix is validated at construction: finite entries first, then zero
     diagonal, symmetry and the triangle inequality, all within
-    ``METRIC_TOL``.  Instances are immutable and safe to share between
-    threads.
+    ``METRIC_TOL``.  The stored matrix, the average with the transpose with
+    a zero diagonal, must then have no entry below -``METRIC_TOL``/2, so
+    that it passes the same checks.  Instances are immutable and safe to
+    share between threads.
     """
 
     dist: np.ndarray
@@ -244,6 +246,13 @@ class FiniteMetricSpace:
         over = np.isinf(avg)
         avg[over] = d[over] / 2.0 + d.T[over] / 2.0
         np.fill_diagonal(avg, 0.0)
+        # with the diagonal at 0, the stored (i, j, i) triangle needs
+        # avg[i, j] >= -METRIC_TOL/2, which an input diagonal below 0 can
+        # let fail
+        if np.any(avg < -METRIC_TOL / 2.0):
+            i, j = np.unravel_index(np.argmin(avg), avg.shape)
+            raise MetricError(f"negative distance at ({i},{j}): {d[i, j]} and {d[j, i]} "
+                              f"are stored as {avg[i, j]}, below -METRIC_TOL/2")
         avg.setflags(write=False)
         object.__setattr__(self, "dist", avg)
         if self.points is None:
@@ -386,6 +395,9 @@ def check_approximation(pmap: PointMap, epsilon: float) -> ApproximationReport:
 
 
 _GH_SIZE_CAP = 6
+# bytes of the row matrix of one block of greedy trials in gh_distance_bound:
+# 8 trials at 256 x 256 points, one from about 724 x 724 up
+_GH_BLOCK = 16 * BUDGET
 
 
 def _directional_optimum(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> float:
@@ -417,46 +429,73 @@ def gh_distance_exhaustive(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> float:
 def _greedy_map(X: FiniteMetricSpace, Y: FiniteMetricSpace, ax: int, ay: int) -> np.ndarray:
     """Anchored greedy matching: map ax to ay, then place remaining points so
     each new assignment minimizes the worst distance discrepancy against the
-    points already placed, the first minimizer winning ties.
+    points already placed, the first minimizer winning ties."""
+    return _greedy_maps(X, Y, [ax], [ay])[0]
+
+
+def _greedy_maps(X: FiniteMetricSpace, Y: FiniteMetricSpace, ax, ay) -> np.ndarray:
+    """The ``_greedy_map`` images of every anchor pair (ax[t], ay[t]), one row
+    per trial t, with the k-th point of every trial placed in the same numpy
+    calls.
 
     Sending the k-th placed point x to y costs ``cost[y] = max_p |dY[f(p), y]
     - dX[x, p]|`` over the placed p.  The max over the anchor and the last
-    placed point alone is a lower bound ``lb <= cost``.  With ``c0`` the full
-    cost of ``y0 = argmin(lb)``, every minimizer y has ``lb[y] <= cost[y] =
-    min(cost) <= c0``, so all of them are in ``cand = flatnonzero(lb <= c0)``.
-    Only those get a full cost, the max of ``lb`` and the points in between.
-    ``cand`` is ascending, so its first minimizer is the one a full ``argmin``
-    would pick; and the costs are the same floats, as ``abs`` and ``max`` are
-    exact.  So the image is the same as that of the full scan.
+    two placed points alone is a lower bound ``lb <= cost``.  With ``c0`` the
+    full cost of ``y0 = argmin(lb)``, every minimizer y has ``lb[y] <=
+    cost[y] = min(cost) <= c0``, so all of them are candidates ``lb <= c0``.
+    Only those get a full cost, the max of ``lb`` and the points in between;
+    the others cost inf, so the first minimizer along ascending y is the one
+    a full scan would pick.  The costs are the same floats, as ``abs`` and
+    ``max`` are exact, so each image is the same as that of the full scan.
+    Each trial keeps its own ``lb`` and ``c0``.
     """
-    order = np.argsort(X.dist[ax], kind="stable")
-    dxo = X.dist[np.ix_(order, order)]
-    # row k: dY[f(order[k])] once placed, equal to its column (dY is symmetric)
-    rows = np.empty((X.n, Y.n))
-    image = np.full(X.n, -1, dtype=int)
-    image[order[0]] = ay
-    rows[0] = Y.dist[ay]
-    anchor = np.abs(rows[0] - dxo[:, :1])  # every step's anchor term
-    # the ufunc reductions and nonzero are called directly: on these short
-    # rows the Python wrappers ndarray.max and np.flatnonzero are a large
-    # share of a step's cost
+    ax, ay = np.asarray(ax, dtype=int), np.asarray(ay, dtype=int)
+    dX, dY, m = X.dist, Y.dist, Y.n
+    trial = np.arange(len(ax))
+    order = np.argsort(dX[ax], axis=1, kind="stable")
+    # row t*m + y, column j: dY[y, f(order[t, j])] once placed (dY is
+    # symmetric), so the gaps of a candidate to the points between are one
+    # contiguous slice
+    rows = np.empty((len(ax) * m, X.n))
+    cols = rows.reshape(len(ax), m, X.n)
+    image = np.empty((len(ax), X.n), dtype=int)
+    image[trial, order[:, 0]] = ay
+    # dY rows of the anchor's image and of the last two placed points' images
+    first = last = cols[:, :, 0] = dY[ay]
+    # the ufunc reductions are called directly: on these short rows the
+    # Python wrapper ndarray.max is a large share of a step's cost
     for k in range(1, X.n):
-        dx = dxo[k]
-        lb = np.maximum(anchor[k], np.abs(rows[k - 1] - dx[k - 1]))
-        y0 = lb.argmin()
-        c0 = np.maximum.reduce(np.abs(rows[:k, y0] - dx[:k]))
-        cand = (lb <= c0).nonzero()[0]
-        gaps = np.abs(rows[1:k - 1, cand] - dx[1:k - 1, None])
-        between = np.maximum.reduce(gaps, axis=0, initial=0.0)
-        y = cand[np.maximum(lb[cand], between).argmin()]
-        image[order[k]] = y
-        rows[k] = Y.dist[y]
+        dx = dX[order[:, k, None], order[:, :k]]
+        lb = np.maximum(np.abs(first - dx[:, :1]), np.abs(last - dx[:, k - 1:]))
+        if k > 2:
+            np.maximum(lb, np.abs(before - dx[:, k - 2:k - 1]), out=lb)
+        y0 = lb.argmin(axis=1)
+        c0 = np.maximum.reduce(np.abs(rows[trial * m + y0, :k] - dx), axis=1)
+        cand = (lb <= c0[:, None]).ravel().nonzero()[0]  # row indices t*m + y
+        mid = slice(1, max(k - 2, 1))
+        gaps = np.abs(rows[cand, mid] - dx[cand // m, mid])
+        cost = np.full(lb.size, np.inf)
+        cost[cand] = np.maximum(lb.ravel()[cand], np.maximum.reduce(gaps, axis=1, initial=0.0))
+        y = cost.reshape(lb.shape).argmin(axis=1)
+        image[trial, order[:, k]] = y
+        before, last = last, dY[y]
+        cols[:, :, k] = last
     return image
 
 
 def _map_epsilon(X, Y, image) -> float:
     pm = PointMap(X, Y, image)
     return max(pm.distortion()[0], pm.surjectivity_defect()[0])
+
+
+def _anchors(nx: int, ny: int, trials: int, seed: int) -> tuple:
+    """The first ``trials`` anchor pairs (x, y) of ``gh_distance_bound``, as
+    two index arrays: the pairs in product order, index x * ny + y, after a
+    shuffle by ``default_rng(seed)``.  The index array is shuffled in place
+    of the list of pairs, which gives the same permutation."""
+    perm = np.arange(nx * ny)
+    np.random.default_rng(seed).shuffle(perm)
+    return divmod(perm[:trials], ny)
 
 
 def gh_distance_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace,
@@ -466,6 +505,11 @@ def gh_distance_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace,
     lower: half the diameter difference, valid from the distortion condition.
     upper: the best epsilon achieved by candidate maps in both directions
     (identity first when sizes agree, then anchored greedy matchings).
+
+    The anchor pairs come from a seeded shuffle (``_anchors``).  The greedy
+    matchings of each direction run in blocks of trials, one ``_greedy_maps``
+    call per block, whose row matrix of 8 * X.n * Y.n bytes per trial stays
+    within ``_GH_BLOCK`` (at least one trial per block).
     """
     if trials < 1:
         raise MetricError("trials must be >= 1")
@@ -474,15 +518,13 @@ def gh_distance_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace,
     if X.n == Y.n:
         ident = np.arange(X.n)
         upper = max(_map_epsilon(X, Y, ident), _map_epsilon(Y, X, ident))
-    rng = np.random.default_rng(seed)
-    anchors = list(itertools.product(range(X.n), range(Y.n)))
-    rng.shuffle(anchors)
-    for ax, ay in anchors[:trials]:
-        eps = max(
-            _map_epsilon(X, Y, _greedy_map(X, Y, ax, ay)),
-            _map_epsilon(Y, X, _greedy_map(Y, X, ay, ax)),
-        )
-        upper = min(upper, eps)
+    ax, ay = _anchors(X.n, Y.n, trials, seed)
+    block = max(1, _GH_BLOCK // (8 * X.n * Y.n))
+    for a in range(0, len(ax), block):
+        fs = _greedy_maps(X, Y, ax[a:a + block], ay[a:a + block])
+        gs = _greedy_maps(Y, X, ay[a:a + block], ax[a:a + block])
+        for f, g in zip(fs, gs):
+            upper = min(upper, max(_map_epsilon(X, Y, f), _map_epsilon(Y, X, g)))
     return lower, float(upper)
 
 

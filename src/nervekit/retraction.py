@@ -335,6 +335,17 @@ def _cone_stage(sigma: tuple, contraction, x: BarycentricPoint, p: ConePoint,
                                tuple(t if g == 1.0 else g * t for g in gs))
 
 
+# bit i of a support bitmask: the i-th key of a stage; no stage has 64 keys,
+# as the blend grid of its simplex, C(k + 11, 12) points, is built first
+_KEY_BITS = 1 << np.arange(63)
+
+
+@functools.lru_cache(maxsize=4096)
+def _support(keys: tuple, mask: int) -> frozenset:
+    """The keys whose bits are set in a support bitmask."""
+    return frozenset(v for i, v in enumerate(keys) if mask >> i & 1)
+
+
 def _point(keys: tuple, row: list, base, height: float) -> CylinderPoint:
     """The cylinder point whose simplex weights are the nonzero entries of
     row over keys."""
@@ -384,11 +395,12 @@ class TraceStage:
     def _in_cylinder(self, cyl: CylinderSpace) -> bool:
         """Whether every point of this sampled stage lies in the cylinder.  A
         point's membership depends only on its support, its base and whether
-        its height lies in [0, L], so one check is made per such key."""
+        its height lies in [0, L], so one check is made per such key, with
+        the support packed into one bitmask over ``_keys`` per row."""
         inside = [0.0 <= h <= cyl.L for h in self._heights]
-        distinct = set(zip(map(tuple, (self._weights != 0.0).tolist()), self._bases, inside))
-        return all(cyl._holds(frozenset(itertools.compress(self._keys, on)), base, ok)
-                   for on, base, ok in distinct)
+        masks = (self._weights != 0.0).dot(_KEY_BITS[:len(self._keys)]).tolist()
+        return all(cyl._holds(_support(self._keys, mask), base, ok)
+                   for mask, base, ok in set(zip(masks, self._bases, inside)))
 
 
 @dataclass(frozen=True)

@@ -11,35 +11,31 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import spaces
-from nervekit.cover import Cover, _star_shaped, goodness_report
+from nervekit.cover import _star_shaped
 from nervekit.homology import HomologyError, _proxy_betti
-from nervekit.metric import METRIC_TOL, FiniteMetricSpace, MetricError, _nn_spacing
+from nervekit.metric import METRIC_TOL, FiniteMetricSpace, _nn_spacing
 
-# the lengths of edges and of the other pairs: copies at -METRIC_TOL pass
-# the triangle check next to both
+# the lengths of edges and of the other pairs: copies at -METRIC_TOL / 2
+# pass the triangle check next to both
 EDGE, FAR = 0.6, 1.0
 SCALES = [0.5, EDGE, 0.8]  # below every edge, tied with them, above them
 
 
-def graph_matrix(adj, copy_of=None, perm=None, tight=False):
+def graph_matrix(adj, copy_of=None, perm=None):
     """The distance matrix of a graph given by its boolean adjacency matrix.
     Vertex v
     stands at copy_of[v] (default v) of the graph, so vertices that share
     one are copies, with equal closed neighbourhoods; perm relabels the
     vertices.  Copies stand -METRIC_TOL / 2 apart, the least distance that
-    validation accepts next to a zero diagonal, as it checks d[i, i] <=
-    d[i, j] + d[j, i] + METRIC_TOL; when tight they stand -METRIC_TOL apart
-    next to a diagonal of -METRIC_TOL.  Validation stores the diagonal as
-    0, and then the stored matrix fails the triangle check at (i, j, i), so
-    the chain that validates the stored submatrix again runs on this
-    matrix."""
+    validation stores, as the stored matrix has a zero diagonal and must
+    pass its own check d[i, i] <= d[i, j] + d[j, i] + METRIC_TOL."""
     adj = np.asarray(adj, dtype=bool)
     at = np.arange(len(adj)) if copy_of is None else np.asarray(copy_of)
     d = np.where(adj[np.ix_(at, at)], EDGE, FAR)
-    d[at[:, None] == at[None, :]] = -METRIC_TOL if tight else -METRIC_TOL / 2
+    d[at[:, None] == at[None, :]] = -METRIC_TOL / 2
     if perm is not None:
         d = d[np.ix_(perm, perm)]
-    np.fill_diagonal(d, -METRIC_TOL if tight else 0.0)
+    np.fill_diagonal(d, 0.0)
     return d
 
 
@@ -75,7 +71,6 @@ FIXED = {
     "two points": (np.zeros((2, 2), dtype=bool), None, (2,)),
     "edge, a tie": (complete(2), None, (1, 0)),
     "two copies": (complete(1), [0, 0], (1, 0)),
-    "two copies at -METRIC_TOL": (complete(1), [0, 0], (1, 0)),
     "path": (np.eye(5, k=1, dtype=bool) | np.eye(5, k=-1, dtype=bool), None, (1, 0)),
     "4-cycle": (cycle(4), None, (1, 1)),
     "4-cycle of copies": (cycle(4), [0, 0, 1, 1, 2, 2, 3, 3], (1, 1, 0)),
@@ -92,7 +87,7 @@ FIXED = {
 @pytest.mark.parametrize("name", sorted(FIXED))
 def test_proxy_betti_on_fixed_graphs(name):
     adj, copy_of, want = FIXED[name]
-    d = graph_matrix(adj, copy_of, tight="-METRIC_TOL" in name)
+    d = graph_matrix(adj, copy_of)
     assert _proxy_betti(FiniteMetricSpace(d).dist, EDGE) == want
     assert oracles.proxy_betti(d, EDGE) == want
 
@@ -103,7 +98,7 @@ def graph_matrices(draw):
     octahedron, threshold graphs (each vertex joined to all or none of the
     ones before it, so neighbourhoods nest in chains of dominations), and
     disjoint unions of two; some vertices are copies of others, at
-    -METRIC_TOL / 2 or -METRIC_TOL, and the labels are shuffled."""
+    -METRIC_TOL / 2, and the labels are shuffled."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def graph(k):
@@ -129,25 +124,13 @@ def graph_matrices(draw):
         adj = union(adj, graph(draw(st.integers(1, 4))))
     k = len(adj)
     copy_of = np.concatenate([np.arange(k), rng.integers(0, k, size=draw(st.integers(0, 3)))])
-    return graph_matrix(adj, copy_of, rng.permutation(len(copy_of)), draw(st.booleans()))
+    return graph_matrix(adj, copy_of, rng.permutation(len(copy_of)))
 
 
 @given(graph_matrices(), st.sampled_from(SCALES))
 @settings(max_examples=300, deadline=None)
 def test_proxy_betti_matches_the_complex_chain_on_graphs(d, scale):
     assert _proxy_betti(FiniteMetricSpace(d).dist, scale) == oracles.proxy_betti(d, scale)
-
-
-def test_goodness_report_reads_a_stored_matrix_that_fails_its_own_check():
-    # copies 0 and 1 at -METRIC_TOL next to an input diagonal of
-    # -METRIC_TOL: the stored matrix, with its diagonal 0, fails the triangle
-    # check at (0, 1, 0), which validating the member submatrix again raised
-    d = graph_matrix(complete(2), [0, 0, 1], tight=True)
-    space = FiniteMetricSpace(d)
-    with pytest.raises(MetricError, match=r"triangle inequality violated for \(0,1,0\)"):
-        FiniteMetricSpace(space.dist)
-    cover = Cover(space, (frozenset({0, 1, 2}),), (2,))
-    assert [(e.betti, e.ok) for e in goodness_report(cover).entries] == [((1, 0, 0), True)]
 
 
 @given(spaces(max_n=16), st.sampled_from([1.0, 1.5, 2.0, 3.0]))

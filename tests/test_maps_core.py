@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ import oracles
 from conftest import octahedral_cover, three_arc_cover
 from nervekit.complex import WEIGHT_DROP, BarycentricPoint
 from nervekit.cone import ConePoint, CylinderPoint, CylinderSpace
-from nervekit.metric import METRIC_TOL, FiniteMetricSpace, _greedy_map, gh_distance_bound
+from nervekit import metric
+from nervekit.metric import (METRIC_TOL, FiniteMetricSpace, _anchors, _greedy_map,
+                             _greedy_maps, gh_distance_bound)
 from nervekit.retraction import (build_contractions, full_cylinder_retraction,
                                  simplexwise_retraction)
 from nervekit.samples import circle_space, line_space
@@ -293,3 +296,86 @@ def test_greedy_matches_on_the_benchmark_circle_pair():
     tgt = (src + rng.uniform(-1.0, 1.0, size=src.shape) * mesh / 25.0)[rng.permutation(n)]
     Y = FiniteMetricSpace.from_coords(tgt)
     _assert_greedy_matches(X, Y, [(0, 17), (200, 3)])
+
+
+@given(spaces(), spaces(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_lockstep_images_match_gathering_oracle(X, Y, data):
+    # one block of trials, some of its anchor pairs repeated
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, X.n - 1), st.integers(0, Y.n - 1)),
+                               min_size=1, max_size=6))
+    pairs = data.draw(st.permutations(pairs + data.draw(st.lists(st.sampled_from(pairs),
+                                                                 max_size=4))))
+    ax, ay = zip(*pairs)
+    assert (_greedy_maps(X, Y, ax, ay).tolist()
+            == [oracles.greedy_map(X, Y, x, y).tolist() for x, y in pairs])
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 6), (6, 1)])
+def test_lockstep_on_one_point_spaces(n, m):
+    X, Y = line_space(n), circle_space(m)
+    pairs = list(itertools.product(range(n), range(m))) * 2
+    ax, ay = zip(*pairs)
+    assert (_greedy_maps(X, Y, ax, ay).tolist()
+            == [oracles.greedy_map(X, Y, x, y).tolist() for x, y in pairs])
+    assert (_greedy_maps(Y, X, ay, ax).tolist()
+            == [oracles.greedy_map(Y, X, y, x).tolist() for x, y in pairs])
+    for seed in range(3):
+        assert (gh_distance_bound(X, Y, trials=5, seed=seed)
+                == oracles.gh_distance_bound(X, Y, trials=5, seed=seed))
+
+
+@pytest.mark.parametrize("trials", [13, 40])
+def test_gh_bracket_when_trials_exceed_the_anchor_pairs(trials):
+    X, Y = line_space(3), circle_space(4)  # 12 anchor pairs
+    for seed in range(3):
+        assert (gh_distance_bound(X, Y, trials=trials, seed=seed)
+                == oracles.gh_distance_bound(X, Y, trials=trials, seed=seed))
+        assert (gh_distance_bound(Y, X, trials=trials, seed=seed)
+                == oracles.gh_distance_bound(Y, X, trials=trials, seed=seed))
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (3, 7), (40, 13), (256, 256)])
+def test_anchor_draw_equals_the_pair_list_shuffle(nx, ny):
+    for seed in (0, 1, 2**32 - 1):
+        pairs = list(itertools.product(range(nx), range(ny)))
+        np.random.default_rng(seed).shuffle(pairs)
+        ax, ay = _anchors(nx, ny, nx * ny + 1, seed)
+        assert list(zip(ax.tolist(), ay.tolist())) == pairs
+
+
+def test_gh_bracket_across_trial_blocks_on_200_point_circles(monkeypatch):
+    # 4 MiB / (8 * 200 * 200 bytes) = 13 trials per block, so 16 trials
+    # take a block of 13 and one of 3 in each direction
+    X, Y = circle_space(200), _jittered_circle(200, seed=5)
+    greedy_maps, calls = metric._greedy_maps, []
+
+    def recording(A, B, ax, ay):
+        calls.append((A is X, list(ax), list(ay)))
+        return greedy_maps(A, B, ax, ay)
+
+    monkeypatch.setattr(metric, "_greedy_maps", recording)
+    pairs = list(itertools.product(range(X.n), range(Y.n)))
+    np.random.default_rng(7).shuffle(pairs)
+    assert gh_distance_bound(X, Y, trials=16, seed=7) == oracles.gh_distance_bound(
+        X, Y, trials=16, seed=7)
+    assert [(forward, len(ax)) for forward, ax, _ay in calls] == [
+        (True, 13), (False, 13), (True, 3), (False, 3)]
+    assert [pair for forward, ax, ay in calls if forward
+            for pair in zip(ax, ay)] == pairs[:16]
+    assert [pair for forward, ax, ay in calls if not forward
+            for pair in zip(ay, ax)] == pairs[:16]
+    assert gh_distance_bound(Y, X, trials=16, seed=7) == oracles.gh_distance_bound(
+        Y, X, trials=16, seed=7)
+
+
+def test_gh_bracket_memory_stays_within_the_row_blocks():
+    # with the list of all n * m anchor pairs the peak was about 108 MB
+    X, Y = circle_space(1000), circle_space(1000, radius=1.1, phase=0.2)
+    tracemalloc.start()
+    try:
+        gh_distance_bound(X, Y, trials=2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20

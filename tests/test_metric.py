@@ -97,6 +97,52 @@ def test_stored_matrix_averages_only_within_the_largest_float():
     assert stored[0, 2] == stored[1, 2] == 1e308
 
 
+def test_rejects_a_pair_that_stores_below_half_the_tolerance():
+    # the input passes every check with its diagonal of -METRIC_TOL, but the
+    # stored diagonal is 0, which the stored pair (0,1) would violate
+    d = np.array([[-1e-9, -1e-9, 0.6], [-1e-9, -1e-9, 0.6], [0.6, 0.6, -1e-9]])
+    with pytest.raises(MetricError) as exc:
+        FiniteMetricSpace(d)
+    assert str(exc.value) == ("negative distance at (0,1): -1e-09 and -1e-09 are stored "
+                              "as -1e-09, below -METRIC_TOL/2")
+
+
+@st.composite
+def _perturbed(draw):
+    """A metric on up to 6 points with many exact (defect 0) triangles: all
+    points equal, a line, or integer points of a 3 x 3 grid; plus, per
+    entry, a perturbation within +-METRIC_TOL, symmetric or not, diagonal
+    included or not."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["equal", "line", "grid"]))
+    if kind == "equal":
+        d = np.zeros((n, n))
+    elif kind == "line":
+        d = np.array(line_space(n, spacing=draw(st.sampled_from([1e-9, 0.5, 3.0]))).dist)
+    else:
+        cells = np.array(draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)))
+        d = coord_distances(np.stack([cells // 3, cells % 3], axis=1).astype(float))
+    tol = st.floats(-METRIC_TOL, METRIC_TOL)
+    noise = np.array(draw(st.lists(tol, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        noise = np.triu(noise) + np.triu(noise, 1).T
+    if draw(st.booleans()):
+        np.fill_diagonal(noise, 0.0)
+    return d + noise
+
+
+@given(_perturbed())
+@settings(max_examples=400, deadline=None)
+def test_every_accepted_matrix_is_accepted_again_as_stored(d):
+    try:
+        space = FiniteMetricSpace(d)
+    except MetricError:
+        return
+    again = FiniteMetricSpace(space.dist)
+    back = FiniteMetricSpace.from_json(json.loads(json.dumps(space.to_json())))
+    assert again.dist.tobytes() == back.dist.tobytes() == space.dist.tobytes()
+
+
 def test_matrix_is_read_only():
     sp = line_space(3)
     with pytest.raises(ValueError):

@@ -13,7 +13,9 @@ count and the sha256 of its sorted, indent-2 JSON.  The CLI chain writes the coo
 ``cover``, ``nerve`` and ``verify`` on them, each in a fresh process, with
 its wall time, exit code, the peak RSS of the commands so far and the
 sha256 of every file it writes.  Every (tree, input) pair runs in a fresh
-process.
+process.  The CLI chain runs ``CLI_RUNS`` times per tree, the trees taking
+turns to go first, so that the machine's drift over the runs falls on both;
+the JSON keeps every run and the median of each command's time.
 
     python3 tools/bench_validation.py --parent-src PARENT/src --out BENCH_goodness.json
 
@@ -26,6 +28,7 @@ import hashlib
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -34,6 +37,7 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 N = 2000
 RADIUS, SEED, VR_SCALE, MAX_ORDER = 0.7, 1, 0.12, 8
+CLI_RUNS = 3
 CLI = (
     ("cover", ["space.json", "--radius", str(RADIUS), "--seed", str(SEED),
                "--max-order", str(MAX_ORDER), "--out", "cover.json", "--report", "report.json"]),
@@ -128,6 +132,22 @@ def stage(src: str, kind: str) -> dict:
     return out
 
 
+def _run(src: str, kind: str) -> dict:
+    """One side of one input, in a fresh process."""
+    run = subprocess.run([sys.executable, __file__, "--stage", src, kind],
+                         check=True, capture_output=True, text=True)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def _medians(runs: list) -> dict:
+    """The median over CLI chain runs of each command's time and of the
+    total."""
+    out = {name: statistics.median(r["commands"][name]["s"] for r in runs)
+           for name, _argv in CLI}
+    out["total_s"] = statistics.median(r["total_s"] for r in runs)
+    return out
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent-src", help="src/ directory of the parent checkout")
@@ -141,11 +161,15 @@ def main() -> int:
         p.error("--parent-src and --out are required")
     sides = {"parent": args.parent_src, "change": os.path.join(HERE, os.pardir, "src")}
     result = {}
-    for kind in ("coords", "dist", "cli"):
+    for kind in ("coords", "dist"):
         for side, src in sides.items():
-            run = subprocess.run([sys.executable, __file__, "--stage", src, kind],
-                                 check=True, capture_output=True, text=True)
-            result.setdefault(kind, {})[side] = json.loads(run.stdout.splitlines()[-1])
+            result.setdefault(kind, {})[side] = _run(src, kind)
+    runs = {side: [] for side in sides}
+    order = list(sides)
+    for i in range(CLI_RUNS):
+        for side in order[::-1] if i % 2 else order:
+            runs[side].append(_run(sides[side], "cli"))
+    result["cli"] = {side: {"runs": r, "median": _medians(r)} for side, r in runs.items()}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
