@@ -355,8 +355,8 @@ class PointMap:
 
     def distortion(self):
         """Max over source pairs of ||f(x),f(y)| - |x,y||, with a witness pair."""
-        f = self.image
-        gap = np.abs(self.target.dist[f][:, f] - self.source.dist)
+        gap = self.target.dist[np.ix_(self.image, self.image)]
+        np.abs(np.subtract(gap, self.source.dist, out=gap), out=gap)
         i, j = np.unravel_index(np.argmax(gap), gap.shape)
         return float(gap[i, j]), (int(i), int(j))
 

@@ -21,7 +21,6 @@ from .complex import (WEIGHT_DROP, WEIGHT_SUM_TOL, BarycentricPoint, ComplexErro
 from .cone import ConePoint, CylinderPoint, CylinderSpace, cone_distance
 from .cover import Cover, intersections
 from .metric import FiniteMetricSpace, MetricError
-from .nerve import DEFAULT_MAX_DIM
 from .partition import PartitionOfUnity
 
 
@@ -108,12 +107,11 @@ class Contraction:
         return path[int(round(frac * (len(path) - 1)))]
 
 
-def build_contractions(cover: Cover, L: float,
-                       max_order: int = DEFAULT_MAX_DIM + 1) -> dict:
+def build_contractions(cover: Cover, L: float) -> dict:
     """One contraction per nonempty intersection, keyed by its index set."""
     return {
         rec.indices: Contraction(cover.space, rec.members, rec.center, L)
-        for rec in intersections(cover, max_order)
+        for rec in intersections(cover, cover.n_sets)
     }
 
 
@@ -140,10 +138,8 @@ def homotopy_F(p: CylinderPoint, s: float, L: float) -> CylinderPoint:
 
 def cone_retraction_phi(contraction: Contraction, p: ConePoint, s: float) -> ConePoint:
     """Retraction of the cone over one cover set onto its base slice."""
-    t = p.t
-    base = contraction(p.base, s * t)
-    g = cutoff_g(s)
-    return ConePoint(base, t if g == 1.0 else g * t)
+    (base,), (t,) = _cone_path(contraction, p, (s,))
+    return ConePoint(base, t)
 
 
 def radial_projection(sigma, x: BarycentricPoint, t: float, L: float):
@@ -155,12 +151,6 @@ def radial_projection(sigma, x: BarycentricPoint, t: float, L: float):
     of the base slice are their own images, exactly.
     """
     sigma = tuple(sorted(sigma))
-    return _radial(sigma, x, [x[v] for v in sigma], t, L)
-
-
-def _radial(sigma: tuple, x: BarycentricPoint, coords: list, t: float, L: float):
-    """``radial_projection`` of x, whose coordinates on the sorted simplex
-    sigma are coords."""
     if len(sigma) == 1 or t == 0.0:
         return x, 0.0
     supp, whole = x.support, frozenset(sigma)
@@ -168,7 +158,7 @@ def _radial(sigma: tuple, x: BarycentricPoint, coords: list, t: float, L: float)
         return x, t
     if not supp <= whole:
         raise MetricError("barycentric point is not carried by the simplex")
-    out, u = _project(np.array([coords]), t, L)
+    out, u = _project(np.array([[x[v] for v in sigma]]), t, L)
     return BarycentricPoint(dict(zip(sigma, out[0].tolist()))), float(u[0])
 
 
@@ -231,20 +221,14 @@ def height_blend(sigma, x: BarycentricPoint, t: float, L: float,
     Equals u exactly when u <= L/10 and t exactly when u >= L/2; in between
     it weights by the distances to those two regions.
     """
-    sigma = tuple(sorted(sigma))
-    coords = [x[v] for v in sigma]
     if u is None:
-        _, u = _radial(sigma, x, coords, t, L)
-    return _blend(coords, t, u, L)
-
-
-def _blend(coords: list, t: float, u: float, L: float) -> float:
-    """``height_blend`` at the coordinates coords on the simplex."""
+        _, u = radial_projection(sigma, x, t, L)
     if u == t or u >= L / 2.0:
         return t
     if u <= L / 10.0:
         return u
-    s0, s1 = _blend_grid(len(coords), L).distances(np.array(coords), t)
+    coords = np.array([x[v] for v in sorted(sigma)])
+    s0, s1 = _blend_grid(len(coords), L).distances(coords, t)
     return (s1 * u + s0 * t) / (s0 + s1)
 
 
@@ -297,9 +281,8 @@ def _simplexwise_stage(sigma: tuple, contraction, x: BarycentricPoint, p: ConePo
     are x and psi0 themselves.
     """
     t = p.t
-    coords = [x[v] for v in sigma]
-    psi0, u = _radial(sigma, x, coords, t, L)
-    w = _blend(coords, t, u, L)
+    psi0, u = radial_projection(sigma, x, t, L)
+    w = height_blend(sigma, x, t, L, u)
     keys = tuple(set(x.weights) | set(psi0.weights))
     a = np.array([x[v] for v in keys])
     b = np.array([psi0[v] for v in keys])
@@ -323,27 +306,21 @@ def _simplexwise_stage(sigma: tuple, contraction, x: BarycentricPoint, p: ConePo
                                tuple(lerp(t, w, nu) for nu in nus))
 
 
+def _cone_path(contraction, p: ConePoint, s_grid: tuple) -> tuple:
+    """The bases and heights of ``cone_retraction_phi`` at each s of
+    ``s_grid``."""
+    t = p.t
+    return (_bases(contraction, p.base, [s * t for s in s_grid]),
+            tuple(t if g == 1.0 else g * t for g in _grid(s_grid)[3]))
+
+
 def _cone_stage(sigma: tuple, contraction, x: BarycentricPoint, p: ConePoint,
                 s_grid: tuple) -> "TraceStage":
     """``cone_retraction_phi`` at each s of ``s_grid``, with the simplex
     point x held fixed, as one stage."""
-    t = p.t
-    gs = _grid(s_grid)[3]
     weights = np.full((len(s_grid), len(x.weights)), list(x.weights.values()))
     return TraceStage._sampled(sigma, s_grid, tuple(x.weights), weights,
-                               _bases(contraction, p.base, [s * t for s in s_grid]),
-                               tuple(t if g == 1.0 else g * t for g in gs))
-
-
-# bit i of a support bitmask: the i-th key of a stage; no stage has 64 keys,
-# as the blend grid of its simplex, C(k + 11, 12) points, is built first
-_KEY_BITS = 1 << np.arange(63)
-
-
-@functools.lru_cache(maxsize=4096)
-def _support(keys: tuple, mask: int) -> frozenset:
-    """The keys whose bits are set in a support bitmask."""
-    return frozenset(v for i, v in enumerate(keys) if mask >> i & 1)
+                               *_cone_path(contraction, p, s_grid))
 
 
 def _point(keys: tuple, row: list, base, height: float) -> CylinderPoint:
@@ -395,12 +372,11 @@ class TraceStage:
     def _in_cylinder(self, cyl: CylinderSpace) -> bool:
         """Whether every point of this sampled stage lies in the cylinder.  A
         point's membership depends only on its support, its base and whether
-        its height lies in [0, L], so one check is made per such key, with
-        the support packed into one bitmask over ``_keys`` per row."""
+        its height lies in [0, L], so one check is made per such key."""
         inside = [0.0 <= h <= cyl.L for h in self._heights]
-        masks = (self._weights != 0.0).dot(_KEY_BITS[:len(self._keys)]).tolist()
-        return all(cyl._holds(_support(self._keys, mask), base, ok)
-                   for mask, base, ok in set(zip(masks, self._bases, inside)))
+        distinct = set(zip(map(tuple, (self._weights != 0.0).tolist()), self._bases, inside))
+        return all(cyl._holds(frozenset(itertools.compress(self._keys, on)), base, ok)
+                   for on, base, ok in distinct)
 
 
 @dataclass(frozen=True)

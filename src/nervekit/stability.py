@@ -350,6 +350,22 @@ def _fold_charts(charts, near, phi, a: int, b: int, weight_b: float):
     return cur
 
 
+def _glue(charts, near, phi, inner, outer, a, b, weight) -> np.ndarray:
+    """The glued value at every point: a(x) on the inner points, b(x) on the
+    outer points, and elsewhere a(x) and b(x) folded over ``charts`` with
+    weight(x) on b, or, where no chart ball holds the point, a(x) below
+    weight 1/2 and b(x) from 1/2 on."""
+    out = np.zeros(len(inner), dtype=int)
+    for x, (is_inner, is_outer) in enumerate(zip(inner, outer)):
+        if is_inner or is_outer:
+            out[x] = a(x) if is_inner else b(x)
+            continue
+        w, ax, bx = weight(x), a(x), b(x)
+        cur = _fold_charts(charts, near[x], phi[x], ax, bx, w)
+        out[x] = (ax if w < 0.5 else bx) if cur is None else cur
+    return out
+
+
 def glue_maps(f: PointMap, g: dict, config: GluingConfig, atlas: ChartAtlas):
     """Glue an almost isometry g on the inner domain into the global map f.
 
@@ -366,17 +382,10 @@ def glue_maps(f: PointMap, g: dict, config: GluingConfig, atlas: ChartAtlas):
     if not atlas.covers(space, config.blend_zone):
         raise MetricError("charts do not cover the gluing collar")
 
-    charts = [ch.target_chart for ch in atlas.charts]
-    near, phi = atlas._cutoffs(space)
-    out = np.zeros(space.n, dtype=int)
-    for x in range(space.n):
-        dx = config.d(x)
-        if dx == 0.0:
-            out[x] = g[x]
-        elif dx == config.mu:
-            out[x] = f(x)
-        else:
-            out[x] = _fold_charts(charts, near[x], phi[x], g[x], f(x), dx / config.mu)
+    to_D = config._to_D
+    out = _glue([ch.target_chart for ch in atlas.charts], *atlas._cutoffs(space),
+                (to_D == 0.0).tolist(), (to_D >= config.mu).tolist(), g.__getitem__, f,
+                (to_D / config.mu).tolist().__getitem__)
     glued = PointMap(space, target, out)
     report = {
         "collar_size": len(collar),
@@ -422,24 +431,12 @@ def glue_homotopies(F, H, config: GluingConfig, atlas: ChartAtlas, t_grid):
     """
     space = config.space
     rho = default_rho(config)
-    d1 = config.D1
     charts = [ch.source_chart for ch in atlas.charts]
     near, phi = atlas._cutoffs(space)
+    inner = [x in config.D for x in range(space.n)]
+    outer = [x not in config.D1 for x in range(space.n)]
     out = np.zeros((space.n, len(t_grid)), dtype=int)
     for k, t in enumerate(t_grid):
-        for x in range(space.n):
-            if x in config.D:
-                out[x, k] = H(x, k)
-                continue
-            if x not in d1:
-                out[x, k] = F(x, k)
-                continue
-            r = rho(x, t)
-            h, f = H(x, k), F(x, k)
-            cur = _fold_charts(charts, near[x], phi[x], h, f, r)
-            if cur is None:
-                # collar point outside every chart ball: fall back to the blend
-                # without chart transport
-                cur = h if r < 0.5 else f
-            out[x, k] = cur
+        out[:, k] = _glue(charts, near, phi, inner, outer, lambda x: H(x, k),
+                          lambda x: F(x, k), lambda x: rho(x, t))
     return out

@@ -10,8 +10,10 @@ one coordinate at a time and the height-blend grid one projection per node,
 the gather-based greedy Gromov-Hausdorff matching, the triangle check by one
 broadcast per 32-row block, Euclidean distances by one broadcast, and the
 per-point and per-set membership scans of covers, of the gluing domain and
-its neighborhoods, of chart atlases and of the stability maps, and the
-gluings' chart fold reading one chart's ball and cutoff at a time.  The tests
+its neighborhoods, of chart atlases and of the stability maps, the
+gluings' chart fold reading one chart's ball and cutoff at a time, the cone
+retraction at one value of s, and the two gluings as separate per-point
+loops.  The tests
 compare nervekit's bitset cover core, its linear complex checks,
 ``PartitionOfUnity``, its sparse homology core, ``goodness_report``,
 its proxy Betti numbers and star check,
@@ -19,7 +21,8 @@ its proxy Betti numbers and star check,
 ``radial_projection`` and its grid, ``gh_distance_bound``, the
 metric validation kernel, ``FiniteMetricSpace.from_coords``, the cover's
 membership matrix and clearances, ``GluingConfig``, ``default_rho``,
-``ChartAtlas``, the chart fold and the stability maps against them."""
+``ChartAtlas``, the chart fold, the stability maps and the gluings against
+them."""
 import itertools
 import math
 
@@ -31,10 +34,9 @@ from nervekit.cover import (BETWEEN_TOL, GoodnessEntry, GoodnessReport,
                             IntersectionRecord, _index_levels)
 from nervekit.homology import BettiVector, betti as complex_betti, vr_complex
 from nervekit.metric import FiniteMetricSpace, MetricError, _map_epsilon
-from nervekit.retraction import (DeformationTrace, TraceStage,
-                                 cone_retraction_phi, cutoff_mu, cutoff_nu,
-                                 height_blend, lerp)
-from nervekit.stability import _blend_in_chart
+from nervekit.retraction import (DeformationTrace, TraceStage, cutoff_g,
+                                 cutoff_mu, cutoff_nu, height_blend, lerp)
+from nervekit.stability import _blend_in_chart, _fold_charts, default_rho
 
 
 def chebyshev_center(cover, members):
@@ -403,6 +405,14 @@ def blend_grid(k, L):
     return pts[us <= L / 10.0], pts[us >= L / 2.0]
 
 
+def cone_retraction_phi(contraction, p, s):
+    """The cone retraction over one set at one value of s."""
+    t = p.t
+    base = contraction(p.base, s * t)
+    g = cutoff_g(s)
+    return ConePoint(base, t if g == 1.0 else g * t)
+
+
 def simplexwise_retraction(sigma, contraction, x, p, s, L):
     """One value of s of the simplex-wise retraction, with the radial
     projection and the height blend computed afresh."""
@@ -678,3 +688,49 @@ def through_nerve_membership(pou, image, codomain):
         any(int(image[x]) in codomain.sets[j] for j in pou.support(x))
         for x in range(len(image))
     )
+
+
+def glue_maps_image(f, g, config, atlas):
+    """The image of ``stability.glue_maps``, with the distance to D read
+    through ``config.d`` for every point and the chart fold called point by
+    point."""
+    space = config.space
+    charts = [ch.target_chart for ch in atlas.charts]
+    near, phi = atlas._cutoffs(space)
+    out = np.zeros(space.n, dtype=int)
+    for x in range(space.n):
+        dx = config.d(x)
+        if dx == 0.0:
+            out[x] = g[x]
+        elif dx == config.mu:
+            out[x] = f(x)
+        else:
+            out[x] = _fold_charts(charts, near[x], phi[x], g[x], f(x), dx / config.mu)
+    return out
+
+
+def glue_homotopies(F, H, config, atlas, t_grid):
+    """``stability.glue_homotopies`` one grid time and one point at a time."""
+    space = config.space
+    rho = default_rho(config)
+    d1 = config.D1
+    charts = [ch.source_chart for ch in atlas.charts]
+    near, phi = atlas._cutoffs(space)
+    out = np.zeros((space.n, len(t_grid)), dtype=int)
+    for k, t in enumerate(t_grid):
+        for x in range(space.n):
+            if x in config.D:
+                out[x, k] = H(x, k)
+                continue
+            if x not in d1:
+                out[x, k] = F(x, k)
+                continue
+            r = rho(x, t)
+            h, f = H(x, k), F(x, k)
+            cur = _fold_charts(charts, near[x], phi[x], h, f, r)
+            if cur is None:
+                # collar point outside every chart ball: fall back to the blend
+                # without chart transport
+                cur = h if r < 0.5 else f
+            out[x, k] = cur
+    return out

@@ -2,25 +2,30 @@
 ``oracles.py``: the contraction paths derived from one parent tree, the
 radial projection on rows of coordinates and the height-blend grid built
 from it, and the gluings' chart fold over one in-ball mask and cutoff
-matrix.  Floats must match bit for bit.  The cases include members at
-distance 0 (or just below) from their center, ties in distance, coordinates
-that reach the wall together, heights 0 and L, points on a proper face and
-points in no chart ball."""
+matrix, and the two gluings against their separate per-point loops.  Floats
+must match bit for bit.  The cases include members at distance 0 (or just
+below) from their center, ties in distance, coordinates that reach the wall
+together, heights 0 and L, points on a proper face and points in no chart
+ball."""
 import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import octahedral_cover, spaces, three_arc_cover
 from nervekit.complex import BarycentricPoint
-from nervekit.metric import FiniteMetricSpace, MetricError
+from nervekit.cone import ConePoint
+from nervekit.metric import FiniteMetricSpace, MetricError, PointMap
 from nervekit.retraction import (Contraction, _BlendGrid, _project,
-                                 build_contractions, radial_projection)
+                                 build_contractions, cone_retraction_phi,
+                                 radial_projection)
 from nervekit.samples import grid_with_strainers
-from nervekit.stability import Chart, ChartAtlas, GluingChart, _fold_charts
+from nervekit.stability import (Chart, ChartAtlas, GluingChart, GluingConfig,
+                                _fold_charts, build_gluing_atlas, default_rho,
+                                glue_homotopies, glue_maps)
 
 L = 7.0
 
@@ -168,3 +173,115 @@ def test_chart_fold_matches_the_per_chart_scan(charts, a, b, weight_b):
             want = _outcome(lambda: oracles.fold_charts(atlas, space, x, side, a, b,
                                                         weight_b))
             assert got == want
+
+
+@given(spaces(max_n=30), st.data())
+@settings(max_examples=100, deadline=None)
+def test_cone_retraction_matches_the_one_s_formula(space, data):
+    members = data.draw(st.sets(st.integers(0, space.n - 1), min_size=1))
+    con = Contraction(space, frozenset(members), data.draw(st.sampled_from(sorted(members))), L)
+    p = ConePoint(data.draw(st.sampled_from(sorted(members))),
+                  data.draw(st.one_of(st.sampled_from([0.0, L]), st.floats(0.0, L))))
+    for s in data.draw(st.lists(st.one_of(st.sampled_from([0.0, 1 / 3, 0.5, 1.0]),
+                                          st.floats(0.0, 1.0)), min_size=1, max_size=4)):
+        want = oracles.cone_retraction_phi(con, p, s)
+        got = cone_retraction_phi(con, p, s)
+        assert got.base == want.base and _bits(got.t) == _bits(want.t)
+
+
+@functools.lru_cache(maxsize=None)
+def _strained(m):
+    space, pairs = grid_with_strainers(m)
+    return space, pairs, FiniteMetricSpace(1.5 * space.dist)
+
+
+@st.composite
+def gluings(draw):
+    """A strained m x m grid glued into its copy scaled by 1.5, so that
+    source and target charts differ: D empty, a block or random, mu and
+    deltaR among the grid's distances so that points sit exactly on the
+    edges of the neighborhoods, inner maps and homotopies that move grid
+    points by at most one step, and a t grid of 0 to 5 times."""
+    m = draw(st.integers(4, 8))
+    space, pairs, target = _strained(m)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["empty", "block", "random"]))
+    if kind == "block":
+        r0, c0 = rng.integers(0, m, size=2).tolist()
+        r1, c1 = (min(v + int(rng.integers(1, 4)), m) for v in (r0, c0))
+        D = frozenset(r * m + c for r in range(r0, r1) for c in range(c0, c1))
+    elif kind == "random":
+        D = frozenset(np.flatnonzero(rng.random(m * m) < 0.15).tolist())
+    else:
+        D = frozenset()
+    config = GluingConfig(space, D, draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])))
+    steps = np.array([0, 1, -1, m, -m])
+    moved = np.arange(space.n)[:, None] + steps[rng.integers(0, 5, size=(space.n, 6))]
+    moved = np.where((np.arange(space.n) < m * m)[:, None] & (moved >= 0) & (moved < m * m),
+                     moved, np.arange(space.n)[:, None])
+    g = {x: int(moved[x, 0]) for x in config.D1}
+    f = PointMap(space, target, moved[:, 1] if draw(st.booleans()) else np.arange(space.n))
+    try:
+        atlas = build_gluing_atlas(space, target, config.blend_zone,
+                                   draw(st.sampled_from([1.0, 2.0, 3.0])), pairs, pairs, g,
+                                   delta=0.3)
+    except MetricError:
+        assume(False)
+    t_grid = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                                     st.floats(0.0, 1.0)), max_size=5))
+    return config, atlas, f, g, moved[:, 2:], t_grid
+
+
+@given(gluings())
+@settings(max_examples=60, deadline=None)
+def test_gluings_match_the_per_point_loops(case):
+    config, atlas, f, g, moves, t_grid = case
+    got = _outcome(lambda: glue_maps(f, g, config, atlas)[0].image)
+    want = _outcome(lambda: oracles.glue_maps_image(f, g, config, atlas))
+    assert type(got) is type(want)
+    assert got == want if isinstance(got, str) else np.array_equal(got, want)
+
+    def F(x, k):
+        return int(moves[x, k % 2])
+
+    def H(x, k):
+        return int(moves[x, 2 + k % 2])
+
+    got = _outcome(lambda: glue_homotopies(F, H, config, atlas, t_grid))
+    want = _outcome(lambda: oracles.glue_homotopies(F, H, config, atlas, t_grid))
+    assert type(got) is type(want)
+    if isinstance(got, str):
+        assert got == want
+    else:
+        assert got.shape == want.shape == (config.space.n, len(t_grid))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_glue_homotopies_falls_back_outside_every_chart_ball():
+    # with only the first chart of the patch's atlas most collar points lie
+    # in no chart ball: they take H below the cutoff 1/2 and F from 1/2 on
+    space, pairs = grid_with_strainers(9)
+    D = frozenset(i * 9 + j for i in range(3, 6) for j in range(3, 6))
+    config = GluingConfig(space, D, 2.0)
+    g = {x: x for x in config.D1}
+    full = build_gluing_atlas(space, space, config.blend_zone, 3.0, pairs, pairs, g, delta=0.3)
+    atlas = ChartAtlas(full.charts[:1], full.deltaR)
+    near, _phi = atlas._cutoffs(space)
+    t_grid = [0.0, 0.3, 0.75]
+
+    def F(x, k):
+        return x
+
+    def H(x, k):
+        return x + 1 if x < 80 and x % 9 < 8 else x
+
+    G = glue_homotopies(F, H, config, atlas, t_grid)
+    assert np.array_equal(G, oracles.glue_homotopies(F, H, config, atlas, t_grid))
+    rho = default_rho(config)
+    lone = [x for x in sorted(config.collar - config.D) if not near[x].any()]
+    taken = {rho(x, t) < 0.5 for x in lone for t in t_grid}
+    assert taken == {True, False}
+    for x in lone:
+        for k, t in enumerate(t_grid):
+            assert G[x, k] == (H(x, k) if rho(x, t) < 0.5 else F(x, k))
+

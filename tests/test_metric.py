@@ -18,6 +18,7 @@ from nervekit.metric import (METRIC_TOL, ApproximationReport,
                              check_strainer, comparison_angle,
                              gh_distance_bound, gh_distance_exhaustive)
 from nervekit.samples import circle_space, line_space, random_point_space
+from conftest import spaces
 from oracles import coord_distances, triangle_defects
 
 
@@ -692,3 +693,32 @@ def test_strainer_fails_on_bad_pair():
     report = check_strainer(sp, 0, [(1, 2)], delta=0.1)
     assert not report.ok
     assert report.worst_margin < 0.0
+
+
+@given(spaces(), spaces(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_distortion_matches_the_two_step_gather(X, Y, data):
+    # square (X is Y) and non-square pairs; images repeat points
+    target = data.draw(st.sampled_from([X, Y]))
+    image = data.draw(st.lists(st.integers(0, target.n - 1), min_size=X.n, max_size=X.n))
+    pmap = PointMap(X, target, image)
+    f = pmap.image
+    gap = np.abs(target.dist[f][:, f] - X.dist)
+    i, j = np.unravel_index(np.argmax(gap), gap.shape)
+    value, pair = pmap.distortion()
+    assert np.float64(value).tobytes() == gap[i, j].tobytes()
+    assert pair == (int(i), int(j))
+
+
+def test_distortion_memory_is_one_gathered_matrix():
+    # one n x n gather of the target's distances, subtracted from and made
+    # absolute in place
+    X = circle_space(1000)
+    pmap = PointMap(X, X, (np.arange(1000) * 7) % 1000)
+    tracemalloc.start()
+    try:
+        pmap.distortion()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 1000 * 1000 + 2**20

@@ -6,7 +6,7 @@ import pytest
 from conftest import three_arc_cover
 from nervekit.complex import BarycentricPoint
 from nervekit.cone import ConePoint, CylinderPoint, CylinderSpace
-from nervekit.cover import intersections
+from nervekit.cover import Cover, intersections
 from nervekit.metric import FiniteMetricSpace, MetricError
 from nervekit.partition import PartitionOfUnity
 from nervekit.retraction import (Contraction, build_contractions,
@@ -15,6 +15,7 @@ from nervekit.retraction import (Contraction, build_contractions,
                                  height_blend, homotopy_F, homotopy_H, lerp,
                                  measure_retraction_lipschitz,
                                  radial_projection, simplexwise_retraction)
+from nervekit.samples import line_space
 
 S_GRID = [i / 16 for i in range(17)]
 
@@ -243,6 +244,19 @@ def test_full_retraction_trace_json():
     assert obj["ends_in_base"] is True
     assert obj["membership_ok"] is True
     assert obj["stages"]
+
+
+def test_contractions_cover_every_intersection_of_ten_sets():
+    # ten whole-line sets meet in all 1,023 nonempty index sets, and a point
+    # over all ten needs the contraction of the intersection of all ten
+    cov = Cover(line_space(12), (frozenset(range(12)),) * 10, tuple(range(10)))
+    cyl = CylinderSpace(cov, max_dim=9)
+    cons = build_contractions(cov, cyl.L)
+    assert len(cons) == 2**10 - 1 == len(intersections(cov, 10))
+    p = CylinderPoint(cyl.tau_embed(0).theta, ConePoint(0, 1.0))
+    trace = full_cylinder_retraction(cyl, cons, p)
+    assert trace.stages[0].simplex == tuple(range(10))
+    assert trace.ends_in_base and trace.membership_ok
 
 
 def test_measured_lipschitz_data_finite():

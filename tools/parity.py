@@ -11,7 +11,9 @@ with sha256:
 
 - ``maps``, seeds 1 and 2, on the benchmark's inputs (``perfbench/workloads.py``):
   the JSON of all 3,000 cylinder retraction traces, the equivalence report,
-  the GH bracket, the glued map and the glued homotopy
+  the GH bracket, the glued map and the glued homotopy, and the
+  contractions of the octahedral cover and of the three-arc circle cover
+  (each key, center and sorted path map)
 - ``sphere-nerve``, seeds 1 and 2: the partition of unity's bytes, the
   nerve and its maximal simplices, the verify report, and the cover's
   intersections, multiplicities, mesh and memberships
@@ -57,6 +59,11 @@ def _array(a) -> bytes:
     return f"{a.dtype.str}{a.shape}".encode() + a.tobytes()
 
 
+def _contractions(cons: dict) -> str:
+    return _json([[sorted(key), con.center, sorted(con.paths.items())]
+                  for key, con in cons.items()])
+
+
 def _maps(seed: int, workdir: str, out: dict):
     import nervekit as nk
     from perfbench.workloads import Maps
@@ -65,6 +72,13 @@ def _maps(seed: int, workdir: str, out: dict):
     inp = workload.first
     tag = f"maps/seed{seed}"
     _cover, cyl, cons = workload._cylinder(inp["octa"])
+    out[f"{tag}/contractions_octa"] = _sha(_contractions(cons))
+    circle = nk.metric.FiniteMetricSpace.from_coords(inp["circle"])
+    r = inp["arc_radius"]
+    arcs = nk.cover.Cover(circle, tuple(circle.ball(c, r) for c in inp["arc_centers"]),
+                          inp["arc_centers"], radius_hint=(r, r, r))
+    out[f"{tag}/contractions_arcs"] = _sha(_contractions(
+        nk.retraction.build_contractions(arcs, workload.L)))
     traces = hashlib.sha256()
     for p in inp["points"]:
         trace = nk.retraction.full_cylinder_retraction(cyl, cons, p)
