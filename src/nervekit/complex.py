@@ -1,4 +1,6 @@
-"""Abstract simplicial complexes and barycentric points of their realization.
+"""Abstract simplicial complexes and barycentric points of their realization,
+and the one clique enumerator behind nerves, intersection records and
+Vietoris-Rips complexes.
 
 The geometric realization sits in R^N with one coordinate per vertex and the
 sup-norm between weight vectors as its distance.
@@ -6,13 +8,17 @@ sup-norm between weight vectors as its distance.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 WEIGHT_DROP = 1e-15
 WEIGHT_SUM_TOL = 1e-12
+_CLIQUE_CAP = 2**20  # cliques per enumeration; k sets that all meet give 2^k - 1
 
 
 class ComplexError(ValueError):
@@ -45,6 +51,48 @@ def _bits(mask: int):
 
 def _vertices(mask: int) -> tuple:
     return tuple(bit.bit_length() - 1 for bit in _bits(mask))
+
+
+def _row_masks(mat: np.ndarray) -> list:
+    """Each row of a 2-D array as a Python-int bitset of its nonzero entries
+    (Python ints: numpy integers would wrap past bit 63)."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little")
+            for i in range(len(packed))]
+
+
+def _unpack(masks, n: int) -> np.ndarray:
+    """The bitsets masks of bits below n as the rows of a 0/1 uint8 array."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+
+
+def _clique_levels(later, masks, max_size: int):
+    """Yield, for sizes 1, 2, ... up to max_size, the (clique, meet, common)
+    of the cliques whose masks AND to a nonzero meet in the graph where v has
+    the larger neighbours later[v]; common: the larger vertices adjacent to
+    all of it.  A clique grows from its prefix by the bits of common, lowest
+    first, so each level is lexicographic.  Stop at the first empty level, or
+    raise a ``ComplexError`` at a level that would pass ``_CLIQUE_CAP``
+    cliques in all, built by an ``islice`` that stops one past the cap."""
+    level = [(1 << v, mask, later[v]) for v, mask in enumerate(masks) if mask]
+    total = 0
+    for size in range(1, max_size + 1):
+        total += len(level)
+        if total > _CLIQUE_CAP:
+            raise ComplexError(f"clique enumeration reached {total} cliques at size "
+                               f"{size}, past its cap of {_CLIQUE_CAP}")
+        if not level:
+            return
+        yield level
+        if size < max_size:
+            level = list(itertools.islice(
+                ((clique | bit, meet, common & later[bit.bit_length() - 1])
+                 for clique, prefix, common in level for bit in _bits(common)
+                 if (meet := prefix & masks[bit.bit_length() - 1])),
+                _CLIQUE_CAP - total + 1))
 
 
 def _by_dimension(masks) -> list:

@@ -6,10 +6,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
+from .complex import _clique_levels, _row_masks, _unpack
 from .metric import METRIC_TOL, FiniteMetricSpace, _check_points, _nn_spacing
 
 BETWEEN_TOL = 1e-9
@@ -28,7 +28,9 @@ class Cover:
     members are points, that the sets cover, that each center belongs to its
     set, and (when a multiplicity bound is given) that no point lies in more
     sets than allowed.  ``member`` is the read-only n x m boolean matrix of
-    point x in set j; not a field, so equality and JSON stay about the sets.
+    point x in set j; the enumeration reads its columns as bitsets,
+    ``_masks``, and the nerve's 1-skeleton, ``_later`` (built on first use).
+    None is a field, so equality and JSON stay about the sets.
     """
 
     space: FiniteMetricSpace
@@ -67,11 +69,8 @@ class Cover:
             top = member.sum(axis=1).max()
             if top > self.multiplicity_bound:
                 raise CoverError(f"multiplicity {top} exceeds bound {self.multiplicity_bound}")
-        # the columns of member as bitsets, bit x set when point x is in the
-        # set (Python ints: numpy integers would wrap past bit 63)
-        packed = np.packbits(member.T, axis=1, bitorder="little")
-        object.__setattr__(self, "_masks", tuple(
-            int.from_bytes(row.tobytes(), "little") for row in packed))
+        # the columns of member as bitsets, bit x set when point x is in the set
+        object.__setattr__(self, "_masks", tuple(_row_masks(member.T)))
 
     @property
     def n_sets(self) -> int:
@@ -91,6 +90,13 @@ class Cover:
         for idx in map(np.flatnonzero, self.member.T):
             out = max(out, float(self.space.dist[np.ix_(idx, idx)].max()))
         return out
+
+    @cached_property
+    def _later(self) -> list:
+        """Bit k of entry j set when k > j and sets j and k meet."""
+        masks = self._masks
+        return [sum(1 << k for k in range(j + 1, len(masks)) if mask & masks[k])
+                for j, mask in enumerate(masks)]
 
     @cached_property
     def clearance(self) -> np.ndarray:
@@ -174,58 +180,38 @@ class IntersectionRecord:
     center: int
 
 
-def _index_levels(cover: Cover, max_order: int):
-    """Yield, for orders 1, 2, ... up to max_order, the list of (indices,
-    index bitset, member bitset) of the nonempty intersections of that many
-    sets, lexicographic by the sorted index tuple; stop at the first empty
-    order.  Each level extends the previous one by appending a larger index,
-    so every index set is reached exactly once, from its prefix.
-    """
-    masks = cover._masks
-    level = [((j,), 1 << j, mask) for j, mask in enumerate(masks)]
-    for _ in range(max_order - 1):
-        yield level
-        level = [(idx + (j,), bits | 1 << j, meet) for idx, bits, mask in level
-                 for j in range(idx[-1] + 1, len(masks)) if (meet := mask & masks[j])]
-        if not level:
-            return
-    yield level
-
-
 def _records(cover: Cover, max_order: int):
     """Yield, for orders 1, 2, ... up to max_order, the list of (sorted index
-    tuple, members, center) of the nonempty intersections of that many sets,
-    in the order of ``_index_levels``.
-
-    Each distinct member bitset is unpacked once, by one ``np.unpackbits``
-    per level over the bitsets not seen before, into a sorted point array
-    and a frozenset; every record with those members shares them.  Centers
-    are as documented in ``intersections``.
-    """
+    tuple, members, center) of the nonempty intersections of that many sets:
+    the cliques of the nerve's 1-skeleton whose member bitsets meet, in the
+    order of ``_clique_levels``.  One ``np.unpackbits`` per level unpacks the
+    index tuples, and one more the member bitsets not seen before, each into
+    a sorted point array and a frozenset that every record with those
+    members shares.  Centers are as documented in ``intersections``."""
     if max_order < 1:
         raise CoverError("max_order must be >= 1")
     n = cover.space.n
-    width = (n + 7) // 8
     shared = {}  # member bitset -> (sorted points, frozenset)
-    for order, level in enumerate(_index_levels(cover, max_order), start=1):
-        new = list(dict.fromkeys(meet for _idx, _bits, meet in level if meet not in shared))
-        if new:
-            raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in new), np.uint8)
-            bits = np.unpackbits(raw.reshape(len(new), width), axis=1, count=n, bitorder="little")
-            points = np.flatnonzero(bits) % n
-            ends = np.cumsum(bits.sum(axis=1)).tolist()
-            listed = points.tolist()
-            for meet, a, b in zip(new, [0] + ends, ends):
-                shared[meet] = (points[a:b], frozenset(listed[a:b]))
+    for order, level in enumerate(_clique_levels(cover._later, cover._masks, max_order),
+                                  start=1):
+        cliques, meets, _common = zip(*level)
+        new = list(dict.fromkeys(meet for meet in meets if meet not in shared))
+        bits = _unpack(new, n)
+        points = np.flatnonzero(bits) % n
+        ends = np.cumsum(bits.sum(axis=1)).tolist()
+        listed = points.tolist()
+        for meet, a, b in zip(new, [0] + ends, ends):
+            shared[meet] = (points[a:b], frozenset(listed[a:b]))
+        sets = (np.flatnonzero(_unpack(cliques, cover.n_sets)) % cover.n_sets).reshape(-1, order)
+        indices = list(map(tuple, sets.tolist()))
         if order == 1:
-            yield [(idx, shared[meet][1], cover.centers[idx[0]]) for idx, _bits, meet in level]
+            yield [(idx, shared[meet][1], cover.centers[idx[0]])
+                   for idx, meet in zip(indices, meets)]
             continue
-        parts = [shared[meet][0] for _idx, _bits, meet in level]
+        parts = [shared[meet][0] for meet in meets]
         sizes = np.fromiter(map(len, parts), np.intp, len(parts))
         points = np.concatenate(parts)
         rows = np.repeat(np.arange(len(parts)), sizes)
-        sets = np.fromiter(chain.from_iterable([idx for idx, _bits, _meet in level]),
-                           np.intp, len(level) * order).reshape(len(level), order)
         # the complement of an intersection is the union of the sets'
         # complements, so a member's clearance is its least per-set clearance
         clearance = cover.clearance
@@ -236,7 +222,7 @@ def _records(cover: Cover, max_order: int):
         starts = np.cumsum(sizes) - sizes
         best = np.flatnonzero(clear == np.maximum.reduceat(clear, starts)[rows])
         centers = points[best[np.searchsorted(best, starts)]].tolist()
-        yield [(idx, shared[meet][1], c) for (idx, _bits, meet), c in zip(level, centers)]
+        yield [(idx, shared[meet][1], c) for idx, meet, c in zip(indices, meets, centers)]
 
 
 def intersections(cover: Cover, max_order: int):

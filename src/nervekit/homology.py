@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import SimplicialComplex, _bits
+from .complex import SimplicialComplex, _bits, _clique_levels, _row_masks
 from .cover import Cover
 from .metric import FiniteMetricSpace
 from .nerve import nerve_of
@@ -35,14 +35,6 @@ def _pivots(columns) -> dict:
                 break
             col ^= other
     return pivots
-
-
-def _row_masks(mat: np.ndarray) -> list:
-    """Each row of a 2-D array as a Python-int bitset of its nonzero entries."""
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    data, width = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(data[i * width:(i + 1) * width], "little")
-            for i in range(len(packed))]
 
 
 def gf2_rank(mat: np.ndarray) -> int:
@@ -89,17 +81,15 @@ def betti(K: SimplicialComplex, max_dim: int = None) -> BettiVector:
 
 def _flag_levels(dist: np.ndarray, scale: float, max_dim: int) -> list:
     """Vertex bitsets of the k-simplices, k = 0..max_dim, of the flag complex
-    of the edges of length <= scale, one list per nonempty level.  Cliques
-    grow level by level, each by a vertex larger than its last one taken from
-    the bitset of their common larger neighbours, so each is built once."""
+    of the edges of length <= scale, one list per nonempty level: the
+    cliques of ``_clique_levels`` under masks of 1, whose meet never empties."""
     if not scale > 0:
         raise HomologyError("scale must be positive")
+    if max_dim < 0:
+        raise HomologyError("max_dim must be >= 0")
     later = _row_masks(np.triu(dist <= scale, k=1))
-    levels = [[(1 << v, later[v]) for v in range(len(dist))]]
-    while len(levels) <= max_dim and levels[-1]:
-        levels.append([(clique | bit, common & later[bit.bit_length() - 1])
-                       for clique, common in levels[-1] for bit in _bits(common)])
-    return [[clique for clique, _common in level] for level in levels if level]
+    return [[clique for clique, _meet, _common in level]
+            for level in _clique_levels(later, [1] * len(dist), max_dim + 1)]
 
 
 def vr_complex(space: FiniteMetricSpace, scale: float, max_dim: int = 3) -> SimplicialComplex:
@@ -164,8 +154,10 @@ class NerveMatchReport:
 
 
 def nerve_matches_space(cover: Cover, scale: float, max_dim: int = 3) -> NerveMatchReport:
-    """Compare Betti numbers of the cover's nerve with those of a VR complex
-    of the underlying space at the given scale."""
+    """Compare Betti numbers b_0..b_{max_dim-1}, max_dim >= 1, of the cover's
+    nerve with those of a VR complex of the underlying space at the given scale."""
+    if max_dim < 1:
+        raise HomologyError(f"max_dim must be >= 1 to compare any Betti number, got {max_dim}")
     nb = betti(nerve_of(cover, max_dim=max_dim), max_dim=max_dim - 1)
     sb = betti(vr_complex(cover.space, scale, max_dim=max_dim), max_dim=max_dim - 1)
     a = nb.ranks + (0,) * (max_dim - len(nb.ranks))

@@ -1,24 +1,21 @@
-"""Nerve complex of a cover."""
+"""Nerve complex of a cover: the cliques of its 1-skeleton whose sets share a point."""
 from __future__ import annotations
 
-from .complex import SimplicialComplex
-from .cover import Cover, CoverError, _index_levels
+from .complex import SimplicialComplex, _clique_levels
+from .cover import Cover, CoverError
 
 DEFAULT_MAX_DIM = 8
 
 
 def nerve_of(cover: Cover, max_dim: int = DEFAULT_MAX_DIM) -> SimplicialComplex:
     """One vertex per cover set, one k-simplex per nonempty (k+1)-fold
-    intersection, truncated above max_dim.
-
-    The simplices are the index bitsets of the enumeration behind
-    ``intersections(cover, max_dim + 1)``, handed over level by level.
-    """
+    intersection, truncated above max_dim: the index bitsets of the cliques
+    that ``intersections(cover, max_dim + 1)`` enumerates, level by level."""
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
     return SimplicialComplex._from_levels(cover.n_sets, [
-        [bits for _idx, bits, _members in level]
-        for level in _index_levels(cover, max_dim + 1)
+        [clique for clique, _meet, _common in level]
+        for level in _clique_levels(cover._later, cover._masks, max_dim + 1)
     ])
 
 

@@ -1,7 +1,7 @@
 """Straightforward reference implementations of intersection enumeration
-(and the member-column enumeration it replaced),
-the downward-closure check, maximal simplices, complement distances, the
-per-point cutoff weights of the partition of unity, dense GF(2) homology,
+(and the member-column enumeration it replaced, over index sets from
+``itertools.combinations``), the downward-closure check, maximal
+simplices, complement distances, the per-point cutoff weights of the partition of unity, dense GF(2) homology,
 Vietoris-Rips cliques, star-shapedness over every column, the goodness
 report, its per-member-set proxy chain (submatrix validated again,
 closure-checked complex, whole reduction), tree distances, the cylinder retraction replayed once per grid value, the
@@ -31,7 +31,7 @@ import numpy as np
 from nervekit.cone import ConePoint, CylinderPoint
 from nervekit.complex import BarycentricPoint, ComplexError, combine
 from nervekit.cover import (BETWEEN_TOL, GoodnessEntry, GoodnessReport,
-                            IntersectionRecord, _index_levels)
+                            IntersectionRecord)
 from nervekit.homology import BettiVector, betti as complex_betti, vr_complex
 from nervekit.metric import FiniteMetricSpace, MetricError, _map_epsilon
 from nervekit.retraction import (DeformationTrace, TraceStage, cutoff_g,
@@ -84,25 +84,31 @@ def intersections(cover, max_order):
 
 
 def member_column_intersections(cover, max_order):
-    """The index sets of ``_index_levels``, each level's members found by
-    ANDing full ``Cover.member`` columns per record and taking ``nonzero``
-    of the (records x n) result, and its centers by one clearance
-    ``lexsort``: the enumeration ``intersections`` ran before it read the
-    members off the enumeration's own bitsets."""
+    """Each order's index sets tried by ``itertools.combinations`` and kept
+    when their member columns meet: the members are found by ANDing full
+    ``Cover.member`` columns per index set and taking ``nonzero`` of the
+    (records x n) result, and the centers by one clearance ``lexsort``, as
+    ``intersections`` did before it read the members off the enumeration's
+    own bitsets."""
     clearance = cover.clearance
     records = []
-    for order, level in enumerate(_index_levels(cover, max_order), start=1):
-        indices = [idx for idx, _bits, _members in level]
+    for order in range(1, max_order + 1):
+        sets = np.array(list(itertools.combinations(range(cover.n_sets), order)),
+                        dtype=np.intp).reshape(-1, order)
+        inside = cover.member[:, sets[:, 0]]
+        for t in range(1, order):
+            inside &= cover.member[:, sets[:, t]]
+        keep = inside.any(axis=0)
+        if not keep.any():
+            break
+        sets, inside = sets[keep], inside[:, keep]
+        indices = list(map(tuple, sets.tolist()))
         if order == 1:
             records.extend(
                 IntersectionRecord(frozenset(idx), cover.sets[idx[0]], cover.centers[idx[0]])
                 for idx in indices
             )
             continue
-        sets = np.array(indices)
-        inside = cover.member[:, sets[:, 0]]
-        for t in range(1, order):
-            inside &= cover.member[:, sets[:, t]]
         rows, points = np.nonzero(inside.T)
         clear = clearance[points, sets[rows, 0]]
         for t in range(1, order):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import three_arc_cover
 from nervekit.cli import _dumps, main
+from nervekit.cover import build_ball_cover
 from nervekit.samples import circle_space, grid_with_strainers
 
 
@@ -294,3 +295,21 @@ def test_verify_rejects_a_scale_that_is_not_positive(tmp_path, capsys, value):
     assert code == 2
     assert capsys.readouterr().err == "scale must be positive\n"
     assert not report_path.exists()
+
+
+def test_verify_rejects_a_dimension_that_compares_nothing(tmp_path, capsys):
+    """At --max-dim 0 no Betti number is compared; at 1, b0 is 1 against 12."""
+    space = circle_space(12)
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(space.to_json()))
+    cover_path = _write_cover(tmp_path, build_ball_cover(space, 1.2))
+    report_path = tmp_path / "verify.json"
+    argv = ["verify", str(space_path), cover_path, "--vr-scale", "0.01",
+            "--out", str(report_path)]
+    assert main(argv + ["--max-dim", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "max_dim must be >= 1 to compare any Betti number, got 0\n"
+    assert not report_path.exists()
+    assert main(argv + ["--max-dim", "1"]) == 1
+    rep = json.loads(report_path.read_text())
+    assert (rep["nerve_betti"], rep["space_betti"], rep["pass"]) == ([1], [12], False)

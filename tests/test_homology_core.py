@@ -11,9 +11,10 @@ from conftest import (line_pair_cover, octahedral_cover, shared_members_cover,
                       three_arc_cover, tree_ball_cover)
 from nervekit.complex import SimplicialComplex
 from nervekit.cover import build_ball_cover, goodness_report
-from nervekit.homology import betti, gf2_rank, vr_complex
+from nervekit.homology import (HomologyError, betti, gf2_rank, nerve_matches_space,
+                               vr_complex)
 from nervekit.metric import FiniteMetricSpace
-from nervekit.samples import tree_space
+from nervekit.samples import circle_space, tree_space
 
 
 @st.composite
@@ -116,3 +117,14 @@ def test_tree_space_matches_floyd_warshall(n, seed):
     got = tree_space(n, seed=seed).dist
     want = oracles.tree_distances(n, seed)
     assert np.abs(got - want).max() <= 1e-12
+
+
+def test_dimensions_that_compare_nothing_are_rejected():
+    cover = build_ball_cover(circle_space(12), 1.2)
+    with pytest.raises(HomologyError, match="max_dim must be >= 1 to compare any Betti "
+                                            "number, got 0"):
+        nerve_matches_space(cover, 0.01, max_dim=0)
+    assert not nerve_matches_space(cover, 0.01, max_dim=1).matches  # b0: 1 against 12
+    with pytest.raises(HomologyError, match="max_dim must be >= 0"):
+        vr_complex(cover.space, 0.5, max_dim=-1)
+    assert vr_complex(cover.space, 0.5, max_dim=0).dim == 0

@@ -15,7 +15,8 @@ with sha256:
   contractions of the octahedral cover and of the three-arc circle cover
   (each key, center and sorted path map)
 - ``sphere-nerve``, seeds 1 and 2: the partition of unity's bytes, the
-  nerve and its maximal simplices, the verify report, and the cover's
+  nerve and its maximal simplices, the verify report, the Vietoris-Rips
+  complex at the verify scale up to dimension 3, and the cover's
   intersections, multiplicities, mesh and memberships
 - ``sphere-goodness``, seeds 1 and 2: the bytes of the CLI ``cover`` report
 - CLI ``cover``, ``nerve``, ``verify``, ``gh``, ``stability`` and ``glue``
@@ -111,6 +112,7 @@ def _sphere_nerve(seed: int, workdir: str, out: dict):
     out[f"{tag}/intersections"] = _sha(_json(records))
     out[f"{tag}/multiplicities"] = _sha(_array(cover.multiplicities()))
     out[f"{tag}/mesh"] = _sha(repr(cover.mesh()))
+    out[f"{tag}/vr"] = _sha(_json(nk.homology.vr_complex(space, workload.vr_scale, 3).to_json()))
     out[f"{tag}/membership"] = _sha(_json([sorted(cover.membership(x))
                                            for x in range(space.n)]))
 
