@@ -186,43 +186,36 @@ def _records(cover: Cover, max_order: int):
     the cliques of the nerve's 1-skeleton whose member bitsets meet, in the
     order of ``_clique_levels``.  One ``np.unpackbits`` per level unpacks the
     index tuples, and one more the member bitsets not seen before, each into
-    a sorted point array and a frozenset that every record with those
-    members shares.  Centers are as documented in ``intersections``."""
+    a frozenset and a center that every record with those members shares.
+    Centers are as documented in ``intersections``."""
     if max_order < 1:
         raise CoverError("max_order must be >= 1")
     n = cover.space.n
-    shared = {}  # member bitset -> (sorted points, frozenset)
+    shared = {}  # member bitset -> (frozenset, center)
     for order, level in enumerate(_clique_levels(cover._later, cover._masks, max_order),
                                   start=1):
         cliques, meets, _common = zip(*level)
-        new = list(dict.fromkeys(meet for meet in meets if meet not in shared))
-        bits = _unpack(new, n)
-        points = np.flatnonzero(bits) % n
-        ends = np.cumsum(bits.sum(axis=1)).tolist()
-        listed = points.tolist()
-        for meet, a, b in zip(new, [0] + ends, ends):
-            shared[meet] = (points[a:b], frozenset(listed[a:b]))
         sets = (np.flatnonzero(_unpack(cliques, cover.n_sets)) % cover.n_sets).reshape(-1, order)
-        indices = list(map(tuple, sets.tolist()))
-        if order == 1:
-            yield [(idx, shared[meet][1], cover.centers[idx[0]])
-                   for idx, meet in zip(indices, meets)]
-            continue
-        parts = [shared[meet][0] for meet in meets]
-        sizes = np.fromiter(map(len, parts), np.intp, len(parts))
-        points = np.concatenate(parts)
-        rows = np.repeat(np.arange(len(parts)), sizes)
+        first = {}  # member bitset not seen before -> row of its first index set
+        for row, meet in enumerate(meets):
+            if meet not in shared:
+                first.setdefault(meet, row)
+        bits = _unpack(list(first), n)
+        rows, points = np.divmod(np.flatnonzero(bits), n)
         # the complement of an intersection is the union of the sets'
-        # complements, so a member's clearance is its least per-set clearance
-        clearance = cover.clearance
-        clear = clearance[points, sets[rows, 0]]
-        for t in range(1, order):
-            clear = np.minimum(clear, clearance[points, sets[rows, t]])
-        # per record: the first member, so the lowest point, of largest clearance
-        starts = np.cumsum(sizes) - sizes
-        best = np.flatnonzero(clear == np.maximum.reduceat(clear, starts)[rows])
-        centers = points[best[np.searchsorted(best, starts)]].tolist()
-        yield [(idx, shared[meet][1], c) for idx, meet, c in zip(indices, meets, centers)]
+        # complements, so a member's clearance is its least per-set
+        # clearance: the same floats for every index set with these members
+        clear = cover.clearance[points[:, None], sets[list(first.values())][rows]].min(axis=1)
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        # per bitset: the first member, so the lowest point, of largest clearance
+        centers = points[np.lexsort((-clear, rows))[starts]].tolist()
+        listed, bounds = points.tolist(), starts.tolist() + [len(points)]
+        for meet, a, b, c in zip(first, bounds, bounds[1:], centers):
+            shared[meet] = (frozenset(listed[a:b]), c)
+        # singletons keep the cover's designated centers
+        yield [(idx, members, cover.centers[idx[0]] if order == 1 else center)
+               for idx, (members, center) in zip(map(tuple, sets.tolist()),
+                                                 map(shared.get, meets))]
 
 
 def intersections(cover: Cover, max_order: int):
@@ -233,8 +226,9 @@ def intersections(cover: Cover, max_order: int):
     keep the cover's designated centers; higher-order records get as center
     the member with the largest clearance from the complement of the
     intersection, ties broken by lowest point index, so a whole-space
-    intersection takes its lowest member.  Records with equal members share
-    one frozenset.
+    intersection takes its lowest member.  That center depends only on the
+    members, so it is found once per distinct member set, and records with
+    equal members share one frozenset.
     """
     return [IntersectionRecord(frozenset(idx), members, center)
             for level in _records(cover, max_order) for idx, members, center in level]

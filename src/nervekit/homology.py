@@ -75,6 +75,8 @@ def betti(K: SimplicialComplex, max_dim: int = None) -> BettiVector:
     """GF(2) Betti numbers b_0..b_max_dim of a nonempty complex."""
     if not K._levels:
         raise HomologyError("empty complex has no homology")
+    if max_dim is not None and max_dim < 0:
+        raise HomologyError(f"max_dim must be >= 0, got {max_dim}")
     top = K.dim if max_dim is None else min(max_dim, K.dim)
     return BettiVector(tuple(_reduce(K._levels, top)), truncation_dim=top)
 

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 METRIC_TOL = 1e-9
-# bytes of each temporary of the triangle check and of ``from_coords``: a
-# matrix whose whole n^3 temporary fits takes one broadcast, a larger one goes
-# in row blocks of this size (at n = 800 on 2 CPUs, 128 KiB to 512 KiB ran
+# bytes of each temporary of the triangle check and of ``from_coords``, which
+# go in row blocks of this size (at n = 800 on 2 CPUs, 128 KiB to 512 KiB ran
 # within 15% of it)
 BUDGET = 256 * 2**10
 
@@ -58,16 +57,15 @@ def _triangle_defects(d: np.ndarray) -> np.ndarray:
     """``bad[i, k] = d[i, k] - min_j (d[i, j] + d[j, k])``: how far each
     entry exceeds its shortest two-step detour.
 
-    A matrix whose n^3 temporary fits in ``BUDGET`` takes one broadcast.  A
-    larger one goes in row blocks of ``BUDGET`` bytes, each folding the
-    detours through j = 0, 1, ... into a running minimum in place: the
-    additions are the same and min does not depend on order, so ``bad`` is
-    the same bit for bit.  The blocks are dealt out to up to
-    ``os.cpu_count()`` threads (numpy releases the GIL inside its loops);
-    each block writes only its own rows of ``bad``.  When blocks of
-    ``BUDGET`` bytes would give a thread less than its share of the cells
-    (n = 200 on 2 CPUs: 163 rows, then 37), each thread gets one block
-    instead, all with the same number of cells.
+    The rows go in blocks of ``BUDGET`` bytes, each folding the detours
+    through j = 0, 1, ... into a running minimum in place: the additions are
+    those of one n^3 broadcast and min does not depend on order, so ``bad``
+    matches that broadcast bit for bit.  The blocks are dealt out to up to
+    ``os.cpu_count()`` threads, at most one per block (numpy releases the
+    GIL inside its loops); each block writes only its own rows of ``bad``.
+    When blocks of ``BUDGET`` bytes would give a thread less than its share
+    of the cells (n = 200 on 2 CPUs: 163 rows, then 37), each thread gets
+    one block instead, all with the same number of cells.
 
     When d is symmetric bit for bit, so is ``bad``: ``bad[k, i]`` folds
     d[k, j] + d[j, i] = d[j, k] + d[i, j], the same sums as ``bad[i, k]``
@@ -77,8 +75,6 @@ def _triangle_defects(d: np.ndarray) -> np.ndarray:
     is done: about half the work, with the same bits.
     """
     n = len(d)
-    if 8 * n**3 <= BUDGET:
-        return d - np.min(d[:, :, None] + d[None, :, :], axis=1)
     # bit for bit, so that a 0.0 facing a -0.0 keeps the full kernel
     half = np.array_equal(d.view(np.int64), d.T.view(np.int64))
     cpus = os.cpu_count() or 1

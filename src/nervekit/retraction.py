@@ -19,7 +19,7 @@ import numpy as np
 from .complex import (WEIGHT_DROP, WEIGHT_SUM_TOL, BarycentricPoint, ComplexError,
                       combine)
 from .cone import ConePoint, CylinderPoint, CylinderSpace, cone_distance
-from .cover import Cover, intersections
+from .cover import Cover, _records
 from .metric import FiniteMetricSpace, MetricError
 from .partition import PartitionOfUnity
 
@@ -108,11 +108,13 @@ class Contraction:
 
 
 def build_contractions(cover: Cover, L: float) -> dict:
-    """One contraction per nonempty intersection, keyed by its index set."""
-    return {
-        rec.indices: Contraction(cover.space, rec.members, rec.center, L)
-        for rec in intersections(cover, cover.n_sets)
-    }
+    """The contraction of each nonempty intersection to its center (as in
+    ``intersections``), keyed by its index set.  Index sets with equal
+    members and center share one ``Contraction``."""
+    contraction = functools.cache(
+        lambda members, center: Contraction(cover.space, members, center, L))
+    return {frozenset(idx): contraction(members, center)
+            for level in _records(cover, cover.n_sets) for idx, members, center in level}
 
 
 def homotopy_H(pou: PartitionOfUnity, theta: BarycentricPoint, x: int,
@@ -148,8 +150,10 @@ def radial_projection(sigma, x: BarycentricPoint, t: float, L: float):
     simplex boundary.
 
     Returns (target point, landing height).  Points of the boundary wall and
-    of the base slice are their own images, exactly.
+    of the base slice are their own images, exactly.  Heights lie in [0, L].
     """
+    if not 0.0 <= t <= L:
+        raise MetricError(f"height {t} outside [0, {L}]")
     sigma = tuple(sorted(sigma))
     if len(sigma) == 1 or t == 0.0:
         return x, 0.0

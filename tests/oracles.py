@@ -383,6 +383,8 @@ def project_row(coords, t, L):
 def radial_projection(sigma, x, t, L):
     """``retraction.radial_projection`` with its arithmetic one coordinate
     at a time."""
+    if not 0.0 <= t <= L:
+        raise MetricError(f"height {t} outside [0, {L}]")
     sigma = tuple(sorted(sigma))
     if len(sigma) == 1 or t == 0.0:
         return x, 0.0

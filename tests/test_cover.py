@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,22 @@ def test_intersection_center_maximizes_clearance():
             x: float(cov.space.dist[x, comp].min()) for x in rec.members
         }
         assert clearance[rec.center] == max(clearance.values())
+
+
+def test_intersections_memory_follows_the_distinct_member_sets():
+    # 13 whole-space sets meet in 8,191 index sets but in one member set, so
+    # one center search over 2,000 points serves every record
+    sp = line_space(2000)
+    cov = Cover(sp, (frozenset(range(sp.n)),) * 13, (0,) * 13)
+    tracemalloc.start()
+    try:
+        recs = intersections(cov, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(recs) == 2**13 - 1
+    assert all(rec.center == 0 for rec in recs)
+    assert peak < 32 * 2**20
 
 
 def test_cover_json_roundtrip(tmp_path):

@@ -106,3 +106,10 @@ def test_nerve_mismatch_reported_for_bad_cover():
 def test_vr_complex_rejects_a_scale_that_is_not_positive(scale):
     with pytest.raises(HomologyError, match="^scale must be positive$"):
         vr_complex(line_space(3), scale)
+
+
+@pytest.mark.parametrize("max_dim", [-1, -5])
+def test_betti_rejects_a_negative_max_dim(max_dim):
+    K = SimplicialComplex.from_maximal(3, [(0, 1), (1, 2)])
+    with pytest.raises(HomologyError, match=f"^max_dim must be >= 0, got {max_dim}$"):
+        betti(K, max_dim=max_dim)

@@ -18,6 +18,7 @@ import oracles
 from conftest import octahedral_cover, spaces, three_arc_cover
 from nervekit.complex import BarycentricPoint
 from nervekit.cone import ConePoint
+from nervekit.cover import Cover
 from nervekit.metric import FiniteMetricSpace, MetricError, PointMap
 from nervekit.retraction import (Contraction, _BlendGrid, _project,
                                  build_contractions, cone_retraction_phi,
@@ -43,11 +44,20 @@ def test_contraction_paths_match_the_walk_oracle(space, data):
     assert con.paths == oracles.contraction_paths(space, members, center)
 
 
-@pytest.mark.parametrize("make", [three_arc_cover, octahedral_cover])
+def _whole_space_cover():
+    """Four whole-space sets: the singletons (0,) and (2,) and the eleven
+    larger index sets all contract the same members to point 0."""
+    space = FiniteMetricSpace.from_coords([[0.0], [1.0], [3.0], [4.5], [5.0]])
+    return Cover(space, (frozenset(range(5)),) * 4, (0, 1, 0, 2))
+
+
+@pytest.mark.parametrize("make", [three_arc_cover, octahedral_cover, _whole_space_cover])
 def test_cover_contractions_match_the_walk_oracle(make):
     cover = make()
+    shared = {}
     for con in build_contractions(cover, L).values():
         assert con.paths == oracles.contraction_paths(cover.space, con.members, con.center)
+        assert shared.setdefault((con.members, con.center), con) is con
 
 
 def test_contraction_breaks_distance_ties_by_the_lowest_index():

@@ -184,8 +184,7 @@ def test_random_euclidean_clouds_validate(n, seed):
 
 # Perturbations of a valid matrix that break exactly one axiom.  Under
 # _small_blocks a 70-point matrix spans 4 row blocks of the triangle check,
-# so a witness in a later block must win; up to 11 points take the one-shot
-# broadcast.
+# so a witness in a later block must win; up to 37 points fit in one block.
 
 SMALL_BUDGET = 8 * 70 * 20  # 20-row blocks at n = 70
 

@@ -168,6 +168,16 @@ def test_radial_projection_rejects_foreign_support():
         radial_projection((0, 1), BarycentricPoint({2: 1.0}), 1.0, 7.0)
 
 
+@pytest.mark.parametrize("t", [14.0, 20.0, 7.5, -1.0, math.nan])
+def test_radial_projection_rejects_a_height_outside_the_cylinder(t):
+    # at t = 2L the projection would divide by zero, past it land anywhere
+    x = BarycentricPoint({0: 0.5, 1: 0.5})
+    with pytest.raises(MetricError, match=rf"^height {t} outside \[0, 7.0\]$"):
+        radial_projection((0, 1), x, t, 7.0)
+    with pytest.raises(MetricError, match=rf"^height {t} outside \[0, 7.0\]$"):
+        height_blend((0, 1), x, t, 7.0)
+
+
 def test_height_blend_plateaus():
     sigma = (0, 1, 2)
     L = 7.0

@@ -16,8 +16,9 @@ with sha256:
   (each key, center and sorted path map)
 - ``sphere-nerve``, seeds 1 and 2: the partition of unity's bytes, the
   nerve and its maximal simplices, the verify report, the Vietoris-Rips
-  complex at the verify scale up to dimension 3, and the cover's
-  intersections, multiplicities, mesh and memberships
+  complex at the verify scale up to dimension 3, the cover's
+  intersections, multiplicities, mesh and memberships, and its
+  contractions, many of which share one member set
 - ``sphere-goodness``, seeds 1 and 2: the bytes of the CLI ``cover`` report
 - CLI ``cover``, ``nerve``, ``verify``, ``gh``, ``stability`` and ``glue``
   on well-formed inputs, accepted and rejected: exit code, stderr and the
@@ -110,6 +111,8 @@ def _sphere_nerve(seed: int, workdir: str, out: dict):
     records = [(sorted(r.indices), sorted(r.members), r.center)
                for r in nk.cover.intersections(cover, res["multiplicity"])]
     out[f"{tag}/intersections"] = _sha(_json(records))
+    out[f"{tag}/contractions"] = _sha(_contractions(
+        nk.retraction.build_contractions(cover, nk.cone.DEFAULT_L)))
     out[f"{tag}/multiplicities"] = _sha(_array(cover.multiplicities()))
     out[f"{tag}/mesh"] = _sha(repr(cover.mesh()))
     out[f"{tag}/vr"] = _sha(_json(nk.homology.vr_complex(space, workload.vr_scale, 3).to_json()))
