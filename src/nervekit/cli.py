@@ -21,7 +21,7 @@ from .homology import nerve_matches_space
 from .metric import (FiniteMetricSpace, MetricError, PointMap,
                      check_approximation, gh_distance_bound,
                      gh_distance_exhaustive)
-from .nerve import DEFAULT_MAX_DIM, nerve_of
+from .nerve import nerve_of
 from .stability import (GluingConfig, build_gluing_atlas, glue_maps,
                         homotopy_equivalence_via_nerves, lift_cover)
 
@@ -144,8 +144,7 @@ def cmd_stability(args) -> int:
               f"distortion {cert.distortion}, defect {cert.defect}",
               file=sys.stderr)
         return 2
-    lift = lift_cover(cover, cert, max_dim=args.max_dim)
-    report = homotopy_equivalence_via_nerves(lift, max_dim=args.max_dim)
+    report = homotopy_equivalence_via_nerves(lift_cover(cover, cert))
     _emit(report.to_json(), args.out, args)
     ok = (report.membership_ok and report.within_10_mesh
           and report.within_100_mesh)
@@ -210,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     n = sub.add_parser("nerve", help="write the nerve of a cover")
     n.add_argument("space")
     n.add_argument("cover")
-    n.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+    n.add_argument("--max-dim", type=int,
+                   help="keep only the skeleton of this dimension (default: whole nerve)")
     n.add_argument("--out", required=True)
     n.set_defaults(func=cmd_nerve)
 
@@ -235,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("space_b")
     s.add_argument("cover")
     s.add_argument("--epsilon", type=float, required=True)
-    s.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     s.add_argument("--out", default="")
     s.set_defaults(func=cmd_stability)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .complex import BarycentricPoint, realization_distance
 from .cover import Cover
 from .metric import FiniteMetricSpace, MetricError
-from .nerve import DEFAULT_MAX_DIM, nerve_of, require_full_nerve
+from .nerve import nerve_of
 from .partition import PartitionOfUnity
 
 DEFAULT_L = 7.0
@@ -68,19 +68,15 @@ class CylinderSpace:
     """The union over nerve simplices sigma of sigma x K(U_sigma).
 
     Holds the cover, its nerve and partition of unity, and enforces the
-    membership invariant base(cone) in U_supp(theta) on every point.  The
-    cover's multiplicity must not exceed max_dim + 1, or some support would
-    have no nerve simplex.
+    membership invariant base(cone) in U_supp(theta) on every point.
     """
 
-    def __init__(self, cover: Cover, L: float = DEFAULT_L,
-                 max_dim: int = DEFAULT_MAX_DIM):
+    def __init__(self, cover: Cover, L: float = DEFAULT_L):
         validate_height_scale(L)
-        require_full_nerve(cover, max_dim)
         self.cover = cover
         self.space = cover.space
         self.L = float(L)
-        self.nerve = nerve_of(cover, max_dim=max_dim)
+        self.nerve = nerve_of(cover)
         self.pou = PartitionOfUnity(cover)
         self._bases = {}
 

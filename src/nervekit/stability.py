@@ -13,10 +13,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .cover import Cover, CoverError, _net, intersections
+from .cover import Cover, CoverError, _net, _records
 from .metric import (ApproximationReport, FiniteMetricSpace, MetricError,
                      PointMap, _check_points, _nn_spacing, check_strainer)
-from .nerve import DEFAULT_MAX_DIM, nerve_of, require_full_nerve
+from .nerve import nerve_of
 from .partition import PartitionOfUnity
 
 
@@ -28,16 +28,14 @@ class LiftedCover:
     approximation: ApproximationReport
 
 
-def lift_cover(cover: Cover, approx: ApproximationReport,
-               max_dim: int = DEFAULT_MAX_DIM) -> LiftedCover:
+def lift_cover(cover: Cover, approx: ApproximationReport) -> LiftedCover:
     """Transport a cover along an approximation: centers go to their images,
     radii grow by twice the approximation error, and the nerve must come
     back isomorphic.  A report that is not ``ok`` is rejected.
 
     The enlargement keeps every transported member inside its transported
     set; any larger margin would risk creating intersections absent in the
-    source nerve.  Both covers' multiplicities must stay within max_dim + 1,
-    so that the compared nerves are whole.
+    source nerve.
     """
     if not approx.ok:
         raise MetricError(
@@ -45,7 +43,6 @@ def lift_cover(cover: Cover, approx: ApproximationReport,
             f"{approx.distortion}, defect {approx.defect}; both must be "
             "below epsilon"
         )
-    require_full_nerve(cover, max_dim)
     mesh = cover.mesh()
     if not approx.epsilon < mesh / 4.0:
         raise MetricError(
@@ -75,9 +72,8 @@ def lift_cover(cover: Cover, approx: ApproximationReport,
                        radius_hint=tuple(r + pad for r in radii))
     except CoverError as exc:
         raise MetricError(f"lifted sets are not a cover: {exc}") from exc
-    require_full_nerve(lifted, max_dim)
-    n_src = nerve_of(cover, max_dim=max_dim)
-    n_tgt = nerve_of(lifted, max_dim=max_dim)
+    n_src = nerve_of(cover)
+    n_tgt = nerve_of(lifted)
     if n_src._levels != n_tgt._levels:
         diff = n_src.simplices ^ n_tgt.simplices
         bad = sorted(min(diff, key=lambda s: (len(s), sorted(s))))
@@ -124,28 +120,34 @@ def almost_inverse(pmap: PointMap) -> PointMap:
     return PointMap(pmap.target, pmap.source, img)
 
 
-def _through_nerve(domain: Cover, codomain: Cover, max_dim: int):
+def _through_nerve(domain: Cover, codomain: Cover):
     """The sample map domain -> codomain through the shared nerve: each point
     goes to the center of its support's intersection in the codomain cover,
     a point of the union of the support's sets.  Also returns whether every
-    image lies in that union."""
+    image lies in that union.  A support that is no simplex of the
+    codomain's nerve raises a ``MetricError``."""
     pou = PartitionOfUnity(domain)
-    zeta = {rec.indices: rec.center for rec in intersections(codomain, max_dim + 1)}
-    img = np.array([zeta[pou.support(x)] for x in range(domain.space.n)])
+    # keyed by sorted index tuples, which the record stream makes anyway
+    zeta = {idx: center for level in _records(codomain, codomain.n_sets)
+            for idx, _members, center in level}
+    img = []
+    for x in range(domain.space.n):
+        if (supp := tuple(sorted(pou.support(x)))) not in zeta:
+            raise MetricError(f"support {list(supp)} of point {x} is no simplex "
+                              "of the other cover's nerve; the lift's nerves differ")
+        img.append(zeta[supp])
+    img = np.array(img)
     in_support = codomain.member[img] & (pou.values != 0)
     return PointMap(domain.space, codomain.space, img), bool(in_support.any(axis=1).all())
 
 
-def homotopy_equivalence_via_nerves(lift: LiftedCover,
-                                    max_dim: int = DEFAULT_MAX_DIM) -> EquivalenceReport:
+def homotopy_equivalence_via_nerves(lift: LiftedCover) -> EquivalenceReport:
     """Realize the homotopy equivalence through the isomorphic nerves on the
     samples and measure its displacement against the approximation.
     """
     src, tgt = lift.source, lift.target
-    require_full_nerve(src, max_dim)
-    require_full_nerve(tgt, max_dim)
-    g, g_ok = _through_nerve(src, tgt, max_dim)
-    h, h_ok = _through_nerve(tgt, src, max_dim)
+    g, g_ok = _through_nerve(src, tgt)
+    h, h_ok = _through_nerve(tgt, src)
     membership_ok = g_ok and h_ok
     phi = lift.approximation.map
     psi = almost_inverse(phi)

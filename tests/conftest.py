@@ -36,6 +36,14 @@ def octahedral_cover(extra=94):
     return Cover(space, sets, tuple(range(6)), radius_hint=(1.1,) * 6)
 
 
+def ten_line_sets_cover():
+    """Ten sets of every point of the 12-point line, centered at 0..9: all
+    1,023 index sets meet, so the whole nerve is the 9-simplex, while its
+    8-skeleton is the boundary of the 9-simplex, a sphere."""
+    space = line_space(12)
+    return Cover(space, (frozenset(range(12)),) * 10, tuple(range(10)))
+
+
 def line_pair_cover():
     """Two sets on the 4-point line: {0,1} centered at 0 and {1,2,3} at 2."""
     space = line_space(4)

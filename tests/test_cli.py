@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import three_arc_cover
+from conftest import ten_line_sets_cover, three_arc_cover
 from nervekit.cli import _dumps, main
 from nervekit.cover import build_ball_cover
 from nervekit.samples import circle_space, grid_with_strainers
@@ -147,6 +147,19 @@ def test_nerve_and_verify_subcommands(tmp_path):
     assert code == 0
     rep = json.loads(report_path.read_text())
     assert rep["pass"] is True
+
+
+def test_nerve_subcommand_is_whole_unless_given_a_max_dim(tmp_path):
+    cov = ten_line_sets_cover()
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(cov.space.to_json()))
+    cover_path = _write_cover(tmp_path, cov)
+    nerve_path = tmp_path / "nerve.json"
+    assert main(["nerve", str(space_path), cover_path, "--out", str(nerve_path)]) == 0
+    assert json.loads(nerve_path.read_text())["simplices"] == [list(range(10))]
+    assert main(["nerve", str(space_path), cover_path, "--max-dim", "8",
+                 "--out", str(nerve_path)]) == 0
+    assert len(json.loads(nerve_path.read_text())["simplices"]) == 10
 
 
 def test_gh_subcommand_small_spaces(tmp_path):

@@ -78,7 +78,7 @@ def test_lift_names_the_lexicographically_first_differing_simplex(monkeypatch):
     cov = three_arc_cover(16)
     nerves = iter([SimplicialComplex.from_maximal(4, [(0, 3), (1,), (2,)]),
                    SimplicialComplex.from_maximal(4, [(1, 2), (0,), (3,)])])
-    monkeypatch.setattr(stability, "nerve_of", lambda cover, max_dim: next(nerves))
+    monkeypatch.setattr(stability, "nerve_of", lambda cover, max_dim=None: next(nerves))
     cert = check_approximation(PointMap(cov.space, cov.space, range(16)), cov.mesh() / 8)
     with pytest.raises(MetricError, match=r"simplex \[0, 3\] differs$"):
         stability.lift_cover(cov, cert)

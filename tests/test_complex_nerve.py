@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import octahedral_cover, three_arc_cover
+from conftest import octahedral_cover, ten_line_sets_cover, three_arc_cover
 from nervekit.complex import (BarycentricPoint, ComplexError,
                               SimplicialComplex, combine,
                               realization_distance)
@@ -109,6 +109,16 @@ def test_nerve_truncation_matches_skeleton():
     cov = octahedral_cover()
     full = nerve_of(cov, max_dim=3)
     assert nerve_of(cov, max_dim=1).simplices == full.skeleton(1).simplices
+
+
+def test_nerve_of_ten_sets_that_all_meet_is_the_whole_9_simplex():
+    cov = ten_line_sets_cover()
+    K = nerve_of(cov)
+    assert K.dim == 9
+    assert K.maximal_simplices() == [tuple(range(10))]
+    skeleton = nerve_of(cov, max_dim=8)
+    assert skeleton.dim == 8
+    assert len(skeleton.maximal_simplices()) == 10
 
 
 def test_nerve_vertices_match_sets():

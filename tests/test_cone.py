@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import three_arc_cover
+from conftest import ten_line_sets_cover, three_arc_cover
 from nervekit.cone import (ConePoint, CylinderPoint, CylinderSpace,
                            cone_distance, validate_height_scale, DEFAULT_L)
 from nervekit.complex import BarycentricPoint, realization_distance
-from nervekit.cover import Cover, CoverError
 from nervekit.metric import MetricError
-from nervekit.samples import circle_space, line_space, random_point_space
+from nervekit.samples import circle_space, random_point_space
 
 
 def test_height_scale_guard():
@@ -128,10 +127,8 @@ def test_cylinder_point_json_roundtrip():
     assert back.cone == p.cone
 
 
-def test_cylinder_rejects_truncated_nerve():
-    space = line_space(12)
-    cov = Cover(space, (frozenset(range(12)),) * 10, tuple(range(10)))
-    with pytest.raises(CoverError, match=r"multiplicity 10 .*max_dim 8"):
-        CylinderSpace(cov)
-    cyl = CylinderSpace(cov, max_dim=9)
+def test_cylinder_accepts_a_cover_of_multiplicity_ten():
+    # a point in all ten sets has the 9-simplex as support, so the nerve is whole
+    cyl = CylinderSpace(ten_line_sets_cover())
+    assert cyl.nerve.maximal_simplices() == [tuple(range(10))]
     assert cyl.tau_embed(0).theta.support == frozenset(range(10))

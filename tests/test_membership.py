@@ -103,7 +103,7 @@ def test_measured_lift_radii_match_the_member_scan(space, radius, seed):
     mesh = cov.mesh()
     assume(mesh > 0.0)
     cert = check_approximation(PointMap(space, space, np.arange(space.n)), mesh / 8.0)
-    lift = lift_cover(cov, cert, max_dim=space.n)
+    lift = lift_cover(cov, cert)
     assert _same_bits(lift.target.radius_hint, want)
 
 

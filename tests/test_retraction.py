@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import three_arc_cover
+from conftest import ten_line_sets_cover, three_arc_cover
 from nervekit.complex import BarycentricPoint
 from nervekit.cone import ConePoint, CylinderPoint, CylinderSpace
-from nervekit.cover import Cover, intersections
+from nervekit.cover import intersections
 from nervekit.metric import FiniteMetricSpace, MetricError
 from nervekit.partition import PartitionOfUnity
 from nervekit.retraction import (Contraction, build_contractions,
@@ -15,7 +15,6 @@ from nervekit.retraction import (Contraction, build_contractions,
                                  height_blend, homotopy_F, homotopy_H, lerp,
                                  measure_retraction_lipschitz,
                                  radial_projection, simplexwise_retraction)
-from nervekit.samples import line_space
 
 S_GRID = [i / 16 for i in range(17)]
 
@@ -259,8 +258,8 @@ def test_full_retraction_trace_json():
 def test_contractions_cover_every_intersection_of_ten_sets():
     # ten whole-line sets meet in all 1,023 nonempty index sets, and a point
     # over all ten needs the contraction of the intersection of all ten
-    cov = Cover(line_space(12), (frozenset(range(12)),) * 10, tuple(range(10)))
-    cyl = CylinderSpace(cov, max_dim=9)
+    cov = ten_line_sets_cover()
+    cyl = CylinderSpace(cov)
     cons = build_contractions(cov, cyl.L)
     assert len(cons) == 2**10 - 1 == len(intersections(cov, 10))
     p = CylinderPoint(cyl.tau_embed(0).theta, ConePoint(0, 1.0))

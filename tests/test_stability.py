@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import three_arc_cover
-from nervekit.cover import Cover, CoverError
+from conftest import ten_line_sets_cover, three_arc_cover
+from nervekit.cover import Cover
 from nervekit.metric import (FiniteMetricSpace, MetricError, PointMap,
                              check_approximation)
 from nervekit.nerve import nerve_of
@@ -113,24 +113,33 @@ def test_equivalence_single_set_cover():
     assert report.membership_ok
 
 
-def _whole_space_cover(sets=10, n=12):
-    space = line_space(n)
-    return Cover(space, (frozenset(range(n)),) * sets, tuple(range(sets)))
+def test_lift_accepts_a_cover_of_multiplicity_ten():
+    # ten sets that all meet span the 9-simplex, whole in both nerves
+    cov = ten_line_sets_cover()
+    lift = lift_cover(cov, _identity_cert(cov, 0.5))
+    assert nerve_of(lift.target).maximal_simplices() == [tuple(range(10))]
+    assert lift.vertex_bijection == tuple(range(10))
 
 
-def test_lift_rejects_truncated_nerve():
-    cov = _whole_space_cover()
-    with pytest.raises(CoverError, match=r"multiplicity 10 .*max_dim 8"):
-        lift_cover(cov, _identity_cert(cov, 0.5))
-
-
-def test_equivalence_rejects_truncated_nerve():
-    cov = _whole_space_cover()
+def test_equivalence_accepts_a_cover_of_multiplicity_ten():
+    cov = ten_line_sets_cover()
     lift = LiftedCover(cov, cov, tuple(range(cov.n_sets)), _identity_cert(cov, 0.5))
-    with pytest.raises(CoverError, match=r"multiplicity 10 .*max_dim 8"):
-        homotopy_equivalence_via_nerves(lift)
-    report = homotopy_equivalence_via_nerves(lift, max_dim=9)
+    report = homotopy_equivalence_via_nerves(lift)
     assert report.membership_ok
+    # every point's support is all ten sets, whose intersection's center is 0
+    assert report.h.image.tolist() == report.g.image.tolist() == [0] * 12
+
+
+def test_equivalence_names_a_support_missing_from_the_other_nerve():
+    # a hand-built lift whose covers' nerves differ: {0, 1} meets in the
+    # source at points 5 and 6, and not in the target
+    space = line_space(12)
+    src = Cover(space, (frozenset(range(7)), frozenset(range(5, 12))), (0, 11))
+    tgt = Cover(space, (frozenset(range(6)), frozenset(range(6, 12))), (0, 11))
+    lift = LiftedCover(src, tgt, (0, 1), _identity_cert(src, 0.5))
+    with pytest.raises(MetricError, match=r"^support \[0, 1\] of point 5 is no "
+                                          r"simplex of the other cover's nerve"):
+        homotopy_equivalence_via_nerves(lift)
 
 
 def test_almost_inverse_of_bijection():

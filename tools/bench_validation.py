@@ -5,8 +5,10 @@ constructor on a distance matrix), ``build_ball_cover(r=0.7, seed=1)``,
 ``intersections(max_order=8)`` (which computes the cover's cached
 ``clearance``, so the later stages do not), ``goodness_report(max_order=8)``, the report
 write (``cli._emit`` of the goodness report, as the ``cover`` command writes
-it), ``nerve_of`` at its default ``max_dim``, ``PartitionOfUnity`` and
-``nerve_matches_space(scale=0.12, max_dim=3)``.
+it), ``nerve_of`` (the whole nerve: it had the 8-skeleton as default before,
+so at n=2,000, where the multiplicity is 10, ``nerve_simplices`` and the
+sha256 of the CLI ``nerve`` output differ from runs of such older trees),
+``PartitionOfUnity`` and ``nerve_matches_space(scale=0.12, max_dim=3)``.
 Each stage reports its wall time (``time.perf_counter``) and the process's
 peak RSS after it (``getrusage``); the goodness report also its entry
 count and the sha256 of its sorted, indent-2 JSON.  The CLI chain writes the coordinates as JSON and runs

@@ -22,7 +22,9 @@ with sha256:
 - ``sphere-goodness``, seeds 1 and 2: the bytes of the CLI ``cover`` report
 - CLI ``cover``, ``nerve``, ``verify``, ``gh``, ``stability`` and ``glue``
   on well-formed inputs, accepted and rejected: exit code, stderr and the
-  bytes of every file written
+  bytes of every file written.  ``nerve-whole`` is ``nerve`` without
+  ``--max-dim`` on ten whole-space sets of a 12-point line, whose whole
+  nerve is the 9-simplex and whose 8-skeleton is its boundary
 
 It prints one line per component with both digests and exits 1 when any
 differs (or is missing on one side), 0 otherwise.
@@ -165,6 +167,10 @@ def _cli_inputs(workdir: str) -> dict:
     write("octa-cover.json", nk.cover.Cover(
         octa, tuple(octa.ball(c, 1.1) for c in range(6)), tuple(range(6))).to_json())
     paths["mesh"] = arcs.mesh()
+    line = nk.samples.line_space(12)
+    write("line.json", line.to_json())
+    write("line-cover.json", nk.cover.Cover(line, (frozenset(range(12)),) * 10,
+                                            tuple(range(10))).to_json())
 
     m = 9
     grid, pairs = nk.samples.grid_with_strainers(m)
@@ -204,6 +210,8 @@ def _cli(workdir: str, out: dict):
         "nerve": ["nerve", p["circle.json"], p["arcs.json"], "--out", at("out-nerve.json")],
         "nerve-octa": ["nerve", p["octa.json"], p["octa-cover.json"], "--max-dim", "2",
                        "--out", at("out-nerve.json")],
+        "nerve-whole": ["nerve", p["line.json"], p["line-cover.json"],
+                        "--out", at("out-nerve.json")],
         "verify": ["verify", p["circle.json"], p["arcs.json"], "--vr-scale", "0.6",
                    "--max-dim", "2", "--out", at("out-verify.json")],
         "verify-octa": ["verify", p["octa.json"], p["octa-cover.json"], "--vr-scale", "0.6",
