@@ -27,35 +27,34 @@ class MetricError(ValueError):
     """Raised when data fails metric validation or a precondition."""
 
 
-def _row_blocks(n: int, half: bool, cpus: int) -> list:
-    """The (first row, first column, rows) blocks of the triangle kernel: of
-    ``BUDGET`` bytes each, or, when those would give one of cpus threads
-    less than its share of the cells, one block per thread, all with the
-    same number of cells."""
+def _row_blocks(n: int, cpus: int) -> list:
+    """The (first row, rows) blocks of the triangle kernel, each spanning the
+    columns from its first row on: of ``BUDGET`` bytes each, or, when those
+    would give one of cpus threads less than its share of the cells, one
+    block per thread, all with the same number of cells."""
     # rho[i]: the rows left at the start of the i-th block from the end when
     # the cpus blocks hold the same cells, in units where the last block
-    # has 1 row; a half block of h rows from a spans h * (n - a) cells
+    # has 1 row; a block of h rows from a spans h * (n - a) cells
     rho = [1.0]
     for _ in range(cpus - 1):
         r = rho[-1]
-        rho.append((r + math.sqrt(r * r + 4.0)) / 2.0 if half else r + 1.0)
-    share = n * n / rho[-1] ** (2 if half else 1)
-    if n * n > BUDGET // 8 > share:
+        rho.append((r + math.sqrt(r * r + 4.0)) / 2.0)
+    if n * n > BUDGET // 8 > n * n / rho[-1] ** 2:
         starts = sorted({n - round(n * r / rho[-1]) for r in rho})
-        return [(a, a if half else 0, b - a) for a, b in zip(starts, starts[1:] + [n])]
+        return [(a, b - a) for a, b in zip(starts, starts[1:] + [n])]
     blocks = []
     a = 0
     while a < n:
-        lo = a if half else 0
-        step = max(1, BUDGET // (8 * (n - lo)))
-        blocks.append((a, lo, min(step, n - a)))
+        step = max(1, BUDGET // (8 * (n - a)))
+        blocks.append((a, min(step, n - a)))
         a += step
     return blocks
 
 
 def _triangle_defects(d: np.ndarray) -> np.ndarray:
     """``bad[i, k] = d[i, k] - min_j (d[i, j] + d[j, k])``: how far each
-    entry exceeds its shortest two-step detour.
+    entry of a matrix d that is symmetric bit for bit exceeds its shortest
+    two-step detour.
 
     The rows go in blocks of ``BUDGET`` bytes, each folding the detours
     through j = 0, 1, ... into a running minimum in place: the additions are
@@ -67,33 +66,30 @@ def _triangle_defects(d: np.ndarray) -> np.ndarray:
     of the cells (n = 200 on 2 CPUs: 163 rows, then 37), each thread gets
     one block instead, all with the same number of cells.
 
-    When d is symmetric bit for bit, so is ``bad``: ``bad[k, i]`` folds
-    d[k, j] + d[j, i] = d[j, k] + d[i, j], the same sums as ``bad[i, k]``
-    in the same order of j.  Then a block of rows from a computes only the
-    columns k >= a, in blocks of ``BUDGET`` bytes of that width n - a, and
-    the columns left of a are mirrored from the rows above once every block
-    is done: about half the work, with the same bits.
+    ``bad`` is symmetric bit for bit too: ``bad[k, i]`` folds d[k, j] +
+    d[j, i] = d[j, k] + d[i, j], the same sums as ``bad[i, k]`` in the same
+    order of j.  So a block of rows from a computes only the columns k >= a,
+    and the columns left of a are mirrored from the rows above once every
+    block is done: about half the work of the whole square.
     """
     n = len(d)
-    # bit for bit, so that a 0.0 facing a -0.0 keeps the full kernel
-    half = np.array_equal(d.view(np.int64), d.T.view(np.int64))
     cpus = os.cpu_count() or 1
-    blocks = _row_blocks(n, half, cpus)
+    blocks = _row_blocks(n, cpus)
     bad = np.empty_like(d)
     workers = min(cpus, len(blocks))
     errors = []
 
     def fold(first):
         try:
-            buffers = np.empty((2, max(h * (n - lo) for _a, lo, h in blocks)))
-            for a, lo, h in blocks[first::workers]:
+            buffers = np.empty((2, max(h * (n - a) for a, h in blocks)))
+            for a, h in blocks[first::workers]:
                 rows = d[a:a + h]
-                b, tb = buffers[:, :h * (n - lo)].reshape(2, h, n - lo)
-                np.add(rows[:, :1], d[0, lo:], out=b)
+                b, tb = buffers[:, :h * (n - a)].reshape(2, h, n - a)
+                np.add(rows[:, :1], d[0, a:], out=b)
                 for j in range(1, n):
-                    np.add(rows[:, j:j + 1], d[j, lo:], out=tb)
+                    np.add(rows[:, j:j + 1], d[j, a:], out=tb)
                     np.minimum(b, tb, out=b)
-                np.subtract(rows[:, lo:], b, out=bad[a:a + h, lo:])
+                np.subtract(rows[:, a:], b, out=bad[a:a + h, a:])
         except Exception as exc:  # raised again in the calling thread
             errors.append(exc)
 
@@ -105,8 +101,8 @@ def _triangle_defects(d: np.ndarray) -> np.ndarray:
         th.join()
     if errors:
         raise errors[0]
-    for a, lo, h in blocks:
-        bad[a:a + h, :lo] = bad[:lo, a:a + h].T
+    for a, h in blocks:
+        bad[a:a + h, :a] = bad[:a, a:a + h].T
     return bad
 
 
@@ -196,12 +192,12 @@ def _nn_spacing(d: np.ndarray) -> float:
 class FiniteMetricSpace:
     """A finite metric space given by a full distance matrix.
 
-    The matrix is validated at construction: finite entries first, then zero
-    diagonal, symmetry and the triangle inequality, all within
-    ``METRIC_TOL``.  The stored matrix, the average with the transpose with
-    a zero diagonal, must then have no entry below -``METRIC_TOL``/2, so
-    that it passes the same checks.  Instances are immutable and safe to
-    share between threads.
+    The matrix d is validated at construction: finite entries first, then no
+    entry below -``METRIC_TOL``, a diagonal and an asymmetry within
+    ``METRIC_TOL``.  The stored matrix ``dist`` is the average with the
+    transpose with a zero diagonal, and the triangle inequality is checked
+    on it, within ``METRIC_TOL``, so every stored matrix validates again.
+    Instances are immutable and safe to share between threads.
     """
 
     dist: np.ndarray
@@ -228,27 +224,23 @@ class FiniteMetricSpace:
         if np.any(asym > METRIC_TOL):
             i, j = np.unravel_index(np.argmax(asym), asym.shape)
             raise MetricError(f"asymmetric entry at ({i},{j}): {d[i, j]} vs {d[j, i]}")
-        if not certified:
-            bad = _triangle_defects(d)
-            if np.any(bad > METRIC_TOL):
-                i, k = np.unravel_index(np.argmax(bad), bad.shape)
-                j = int(np.argmin(d[i, :] + d[:, k]))
-                raise MetricError(
-                    f"triangle inequality violated for ({i},{j},{k}): "
-                    f"{d[i, k]} > {d[i, j]} + {d[j, k]}"
-                )
+        del asym
+        # symmetric bit for bit, as addition commutes: a 0.0 facing a -0.0
+        # is stored as 0.0 on both sides
         with np.errstate(over="ignore"):  # a sum past the largest float is redone
             avg = (d + d.T) / 2.0
         over = np.isinf(avg)
         avg[over] = d[over] / 2.0 + d.T[over] / 2.0
         np.fill_diagonal(avg, 0.0)
-        # with the diagonal at 0, the stored (i, j, i) triangle needs
-        # avg[i, j] >= -METRIC_TOL/2, which an input diagonal below 0 can
-        # let fail
-        if np.any(avg < -METRIC_TOL / 2.0):
-            i, j = np.unravel_index(np.argmin(avg), avg.shape)
-            raise MetricError(f"negative distance at ({i},{j}): {d[i, j]} and {d[j, i]} "
-                              f"are stored as {avg[i, j]}, below -METRIC_TOL/2")
+        if not certified:
+            bad = _triangle_defects(avg)
+            if np.any(bad > METRIC_TOL):
+                i, k = np.unravel_index(np.argmax(bad), bad.shape)
+                j = int(np.argmin(avg[i, :] + avg[:, k]))
+                raise MetricError(
+                    f"triangle inequality violated for ({i},{j},{k}): "
+                    f"{avg[i, k]} > {avg[i, j]} + {avg[j, k]}"
+                )
         avg.setflags(write=False)
         object.__setattr__(self, "dist", avg)
         if self.points is None:
@@ -422,17 +414,12 @@ def gh_distance_exhaustive(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> float:
     return max(_directional_optimum(X, Y), _directional_optimum(Y, X))
 
 
-def _greedy_map(X: FiniteMetricSpace, Y: FiniteMetricSpace, ax: int, ay: int) -> np.ndarray:
-    """Anchored greedy matching: map ax to ay, then place remaining points so
-    each new assignment minimizes the worst distance discrepancy against the
-    points already placed, the first minimizer winning ties."""
-    return _greedy_maps(X, Y, [ax], [ay])[0]
-
-
 def _greedy_maps(X: FiniteMetricSpace, Y: FiniteMetricSpace, ax, ay) -> np.ndarray:
-    """The ``_greedy_map`` images of every anchor pair (ax[t], ay[t]), one row
-    per trial t, with the k-th point of every trial placed in the same numpy
-    calls.
+    """Anchored greedy matchings, one row per trial t: map ax[t] to ay[t],
+    then place the remaining points so each new assignment minimizes the
+    worst distance discrepancy against the points already placed, the first
+    minimizer winning ties.  The k-th point of every trial is placed in the
+    same numpy calls.
 
     Sending the k-th placed point x to y costs ``cost[y] = max_p |dY[f(p), y]
     - dX[x, p]|`` over the placed p.  The max over the anchor and the last
@@ -553,6 +540,8 @@ def check_strainer(space: FiniteMetricSpace, p: int, pairs, delta: float) -> Str
     ``worst_margin`` is the smallest slack over all inequalities; ``length``
     is the minimum distance from p to a strainer point.
     """
+    if len(pairs) == 0:
+        raise MetricError("a strainer needs at least one pair")
     _check_points([p, *itertools.chain(*pairs)], space.n, "strainer point")
     margins = []
     m = len(pairs)

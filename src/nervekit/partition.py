@@ -16,7 +16,7 @@ import numpy as np
 
 from .complex import BarycentricPoint
 from .cover import Cover, CoverError
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, _check_points
 
 
 class PartitionOfUnity:
@@ -45,12 +45,14 @@ class PartitionOfUnity:
 
     def theta(self, x: int) -> BarycentricPoint:
         """Barycentric image of x in the nerve realization."""
+        _check_points([x], len(self.values), "point", CoverError)
         row = self.values[x]
         return BarycentricPoint(
             {j: row[j] for j in np.flatnonzero(row)}
         )
 
     def support(self, x: int) -> frozenset:
+        _check_points([x], len(self.values), "point", CoverError)
         return frozenset(int(j) for j in np.flatnonzero(self.values[x]))
 
 

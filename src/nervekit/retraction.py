@@ -125,6 +125,9 @@ def homotopy_H(pou: PartitionOfUnity, theta: BarycentricPoint, x: int,
     nerve map, and points already on the graph stay put for every s.
     """
     cover = pou.cover
+    for j in sorted(theta.support):
+        if not 0 <= j < cover.n_sets:
+            raise MetricError(f"vertex {j} is not a set index in [0, {cover.n_sets})")
     if any(x not in cover.sets[j] for j in theta.support):
         raise MetricError(
             f"membership violation: {x} outside the intersection of "

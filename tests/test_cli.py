@@ -269,6 +269,7 @@ def test_stability_rejects_radius_hint_of_wrong_length(tmp_path, capsys):
     ({"mu": -1}, "mu must be positive and finite, got -1.0"),
     ({"source_pairs": [[81, 82], [83, 85]]},
      "strainer point 85 is not a point index in [0, 85)"),
+    ({"source_pairs": []}, "a strainer needs at least one pair"),
 ])
 def test_glue_rejects_malformed_region(tmp_path, capsys, change, message):
     space, pairs = grid_with_strainers(9)

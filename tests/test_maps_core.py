@@ -20,8 +20,8 @@ from conftest import octahedral_cover, three_arc_cover
 from nervekit.complex import WEIGHT_DROP, BarycentricPoint
 from nervekit.cone import ConePoint, CylinderPoint, CylinderSpace
 from nervekit import metric
-from nervekit.metric import (METRIC_TOL, FiniteMetricSpace, _anchors, _greedy_map,
-                             _greedy_maps, gh_distance_bound)
+from nervekit.metric import (METRIC_TOL, FiniteMetricSpace, _anchors, _greedy_maps,
+                             gh_distance_bound)
 from nervekit.retraction import (build_contractions, full_cylinder_retraction,
                                  simplexwise_retraction)
 from nervekit.samples import circle_space, line_space
@@ -146,7 +146,7 @@ def test_greedy_images_match_gathering_oracle(X, Y, data):
     anchors = list(itertools.product(range(X.n), range(Y.n)))
     for ax, ay in data.draw(st.lists(st.sampled_from(anchors), min_size=1,
                                      max_size=8)):
-        got = _greedy_map(X, Y, ax, ay)
+        got = _greedy_maps(X, Y, [ax], [ay])[0]
         assert got.tolist() == oracles.greedy_map(X, Y, ax, ay).tolist()
         assert got[ax] == ay
 
@@ -202,8 +202,10 @@ def test_membership_flags_match_when_a_stage_leaves_the_cylinder():
 
 def _assert_greedy_matches(X, Y, anchors):
     for ax, ay in anchors:
-        assert _greedy_map(X, Y, ax, ay).tolist() == oracles.greedy_map(X, Y, ax, ay).tolist()
-        assert _greedy_map(Y, X, ay, ax).tolist() == oracles.greedy_map(Y, X, ay, ax).tolist()
+        assert _greedy_maps(X, Y, [ax], [ay])[0].tolist() == \
+            oracles.greedy_map(X, Y, ax, ay).tolist()
+        assert _greedy_maps(Y, X, [ay], [ax])[0].tolist() == \
+            oracles.greedy_map(Y, X, ay, ax).tolist()
 
 
 @st.composite

@@ -99,13 +99,18 @@ def test_stored_matrix_averages_only_within_the_largest_float():
 
 
 def test_rejects_a_pair_that_stores_below_half_the_tolerance():
-    # the input passes every check with its diagonal of -METRIC_TOL, but the
-    # stored diagonal is 0, which the stored pair (0,1) would violate
+    # the input passes the checks on d with its diagonal of -METRIC_TOL, but
+    # the stored diagonal is 0, so the stored triangle (0,1,0) fails
     d = np.array([[-1e-9, -1e-9, 0.6], [-1e-9, -1e-9, 0.6], [0.6, 0.6, -1e-9]])
     with pytest.raises(MetricError) as exc:
         FiniteMetricSpace(d)
-    assert str(exc.value) == ("negative distance at (0,1): -1e-09 and -1e-09 are stored "
-                              "as -1e-09, below -METRIC_TOL/2")
+    assert str(exc.value) == "triangle inequality violated for (0,1,0): 0.0 > -1e-09 + -1e-09"
+
+
+def test_a_skewed_matrix_is_checked_as_stored():
+    # the defect of (0,1,2) is 1.2e-9 in d, but 0.8e-9 in the stored average
+    d = np.array([[0.0, 1.0, 2.0 + 1.2e-9], [1.0, 0.0, 1.0], [2.0 + 0.4e-9, 1.0, 0.0]])
+    assert FiniteMetricSpace(d).dist[0, 2] == (d[0, 2] + d[2, 0]) / 2.0
 
 
 @st.composite
@@ -142,6 +147,25 @@ def test_every_accepted_matrix_is_accepted_again_as_stored(d):
     again = FiniteMetricSpace(space.dist)
     back = FiniteMetricSpace.from_json(json.loads(json.dumps(space.to_json())))
     assert again.dist.tobytes() == back.dist.tobytes() == space.dist.tobytes()
+
+
+def _stored(d):
+    s = (d + d.T) / 2.0
+    np.fill_diagonal(s, 0.0)
+    return s
+
+
+@given(_perturbed())
+@settings(max_examples=400, deadline=None)
+def test_a_matrix_is_accepted_exactly_when_its_stored_matrix_is_a_metric(d):
+    raw_ok = (np.all(d >= -METRIC_TOL) and np.all(np.abs(np.diag(d)) <= METRIC_TOL)
+              and np.all(np.abs(d - d.T) <= METRIC_TOL))
+    try:
+        FiniteMetricSpace(d)
+        accepted = True
+    except MetricError:
+        accepted = False
+    assert accepted == (raw_ok and triangle_defects(_stored(d)).max() <= METRIC_TOL)
 
 
 def test_matrix_is_read_only():
@@ -183,19 +207,14 @@ def test_random_euclidean_clouds_validate(n, seed):
 
 
 # Perturbations of a valid matrix that break exactly one axiom.  Under
-# _small_blocks a 70-point matrix spans 4 row blocks of the triangle check,
+# _small_blocks a 70-point matrix spans 3 row blocks of the triangle check,
 # so a witness in a later block must win; up to 37 points fit in one block.
 
-SMALL_BUDGET = 8 * 70 * 20  # 20-row blocks at n = 70
+SMALL_BUDGET = 8 * 70 * 20  # a first block of 20 rows at n = 70
 
 
 def _small_blocks():
     return mock.patch.object(metric, "BUDGET", SMALL_BUDGET)
-
-
-def _blocks(n, budget):
-    step = max(1, budget // (8 * n))
-    return -(-n // step)
 
 
 def _euclidean(data, min_n=2):
@@ -214,8 +233,8 @@ def _pair(data, n, distinct=True):
 def _skewed(data, d, keep=()):
     """d, or, when the drawn flag is set, d plus an asymmetric perturbation
     of at most ``METRIC_TOL``/2 above the diagonal, outside the rows and
-    columns ``keep``.  Validation accepts the asymmetry, and the triangle
-    check then takes its full kernel instead of the symmetric half."""
+    columns ``keep``.  Validation accepts the asymmetry and checks the
+    triangles of the stored average, equal to d in the rows ``keep``."""
     if not data.draw(st.booleans(), label="skew"):
         return d
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="skew seed"))
@@ -295,7 +314,8 @@ def _unblocked_triangle_message(d) -> str:
 
 def test_triangle_witness_spans_blocks():
     n = 101
-    assert _blocks(n, SMALL_BUDGET) == 8  # of 13 rows
+    with _small_blocks():
+        assert len(metric._row_blocks(n, 1)) == 5  # the last one of 29 rows
     d = np.array(random_point_space(n, dim=2, seed=4).dist)
     # a small violation in the first block, the worst one in the last
     for (i, k), excess in (((1, 7), 0.5), ((n - 9, n - 2), 3.0), ((40, n - 1), 1.0)):
@@ -314,58 +334,62 @@ def test_kernel_matches_blocked_oracle(data, cpus):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="noise"))
         f = rng.uniform(0.5, 1.5, size=d.shape)
         d = d * (f + f.T) / 2.0
-    d = _skewed(data, d)
     with _small_blocks(), mock.patch("os.cpu_count", return_value=cpus):
         bad = metric._triangle_defects(d)
     assert bad.tobytes() == triangle_defects(d).tobytes()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_kernel_keeps_the_signs_of_zeros(cpus):
+def test_a_zero_facing_a_negative_zero_is_stored_symmetric(cpus):
     # a repeated point whose 0.0 faces a -0.0 across the diagonal: equal as
-    # numbers, not as bits, so the half kernel must not mirror it (rows 3
-    # and 38 fall in different blocks)
+    # numbers, not as bits, but their stored average is 0.0 on both sides
+    # (rows 3 and 38 fall in different blocks)
     c = np.random.default_rng(3).uniform(0.0, 1.0, size=(40, 2))
     c[38] = c[3]
     d = np.array(FiniteMetricSpace.from_coords(c).dist)
     d[38, 3] = -0.0
     with _small_blocks(), mock.patch("os.cpu_count", return_value=cpus):
-        bad = metric._triangle_defects(d)
-    assert bad.tobytes() == triangle_defects(d).tobytes()
+        stored = FiniteMetricSpace(d).dist
+        bad = metric._triangle_defects(stored)
+    assert stored.tobytes() == np.ascontiguousarray(stored.T).tobytes()
+    assert bad.tobytes() == triangle_defects(stored).tobytes()
 
 
 def test_kernel_matches_blocked_oracle_at_full_budget():
     n = 400
-    assert _blocks(n, metric.BUDGET) >= 3
+    assert len(metric._row_blocks(n, 1)) >= 3
     d = np.array(random_point_space(n, dim=3, seed=5).dist)
     d[3, 390] = d[390, 3] = d[3, 390] + 1.0
     assert metric._triangle_defects(d).tobytes() == triangle_defects(d).tobytes()
 
 
-@pytest.mark.parametrize("half", [True, False])
+@pytest.mark.parametrize("small", [True, False])
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [150, 200, 291, 445])
-def test_row_blocks_tile_the_rows(n, cpus, half):
-    blocks = metric._row_blocks(n, half, cpus)
-    assert [a for a, _lo, _h in blocks] == list(itertools.accumulate(
-        (h for _a, _lo, h in blocks[:-1]), initial=0))
-    assert sum(h for _a, _lo, h in blocks) == n
-    assert all(lo == (a if half else 0) for a, lo, _h in blocks)
-    assert all(h * (n - lo) <= max(metric.BUDGET // 8, n) for _a, lo, h in blocks)
+def test_row_blocks_tile_the_rows(n, cpus, small):
+    with _small_blocks() if small else contextlib.nullcontext():
+        blocks = metric._row_blocks(n, cpus)
+        budget = metric.BUDGET
+    assert [a for a, _h in blocks] == list(itertools.accumulate(
+        (h for _a, h in blocks[:-1]), initial=0))
+    assert sum(h for _a, h in blocks) == n
+    assert all(h * (n - a) <= max(budget // 8, n) for a, h in blocks)
 
 
-@pytest.mark.parametrize("half", [True, False])
-def test_few_blocks_give_each_thread_an_equal_share(half):
+@pytest.mark.parametrize("violated", [True, False])
+def test_few_blocks_give_each_thread_an_equal_share(violated):
     # blocks of BUDGET bytes at n = 200 would be 163 rows and then 37
     n = 200
-    blocks = metric._row_blocks(n, half, 2)
-    cells = [h * (n - lo) for _a, lo, h in blocks]
+    blocks = metric._row_blocks(n, 2)
+    cells = [h * (n - a) for a, h in blocks]
     assert len(blocks) == 2 and max(cells) - min(cells) <= n
     d = np.array(random_point_space(n, dim=3, seed=6).dist)
-    if not half:
-        d[5, 190] += 1e-3
+    if violated:
+        d[5, 190] = d[190, 5] = d[5, 190] + 1.0
     with mock.patch("os.cpu_count", return_value=2):
-        assert metric._triangle_defects(d).tobytes() == triangle_defects(d).tobytes()
+        bad = metric._triangle_defects(d)
+    assert bad.tobytes() == triangle_defects(d).tobytes()
+    assert (bad.max() > METRIC_TOL) == violated
 
 
 def test_kernel_raises_a_worker_error():
@@ -684,6 +708,13 @@ def test_strainer_on_plane_grid():
     report = check_strainer(space, p, pairs, delta=0.1)
     assert report.ok
     assert report.length > 100.0
+
+
+def test_strainer_needs_a_pair():
+    sp = line_space(5)
+    with pytest.raises(MetricError) as exc:
+        check_strainer(sp, 2, [], delta=0.1)
+    assert str(exc.value) == "a strainer needs at least one pair"
 
 
 def test_strainer_fails_on_bad_pair():

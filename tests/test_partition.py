@@ -4,10 +4,10 @@ import pytest
 import oracles
 from conftest import (line_pair_cover, octahedral_cover, three_arc_cover,
                       tree_ball_cover)
-from nervekit.cover import Cover, CoverError
+from nervekit.cover import Cover, CoverError, build_ball_cover
 from nervekit.nerve import nerve_of
 from nervekit.partition import PartitionOfUnity, estimate_lipschitz
-from nervekit.samples import line_space
+from nervekit.samples import circle_space, line_space
 
 
 def test_f_weight_line_example():
@@ -38,6 +38,15 @@ def test_theta_single_membership_is_vertex():
     pou = PartitionOfUnity(cov)
     assert pou.theta(0).support == frozenset({0})
     assert pou.theta(3).weights == {1: 1.0}
+
+
+@pytest.mark.parametrize("x", [-1, 12, 2.0, True])
+def test_theta_and_support_reject_a_point_outside_the_space(x):
+    pou = PartitionOfUnity(build_ball_cover(circle_space(12), 1.2, seed=0))
+    for call in (pou.theta, pou.support):
+        with pytest.raises(CoverError) as exc:
+            call(x)
+        assert str(exc.value) == f"point {x!r} is not a point index in [0, 12)"
 
 
 def test_rows_sum_to_one_and_positivity_iff_membership():

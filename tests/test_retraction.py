@@ -6,7 +6,7 @@ import pytest
 from conftest import ten_line_sets_cover, three_arc_cover
 from nervekit.complex import BarycentricPoint
 from nervekit.cone import ConePoint, CylinderPoint, CylinderSpace
-from nervekit.cover import intersections
+from nervekit.cover import build_ball_cover, intersections
 from nervekit.metric import FiniteMetricSpace, MetricError
 from nervekit.partition import PartitionOfUnity
 from nervekit.retraction import (Contraction, build_contractions,
@@ -15,6 +15,7 @@ from nervekit.retraction import (Contraction, build_contractions,
                                  height_blend, homotopy_F, homotopy_H, lerp,
                                  measure_retraction_lipschitz,
                                  radial_projection, simplexwise_retraction)
+from nervekit.samples import circle_space
 
 S_GRID = [i / 16 for i in range(17)]
 
@@ -105,6 +106,16 @@ def test_homotopy_H_membership_guard():
     lone = next(x for x in sorted(cov.sets[0]) if x not in cov.sets[1])
     with pytest.raises(MetricError, match="membership"):
         homotopy_H(pou, BarycentricPoint({1: 1.0}), lone, 0.5)
+
+
+@pytest.mark.parametrize("vertex", [-1, 5])
+def test_homotopy_H_names_a_vertex_outside_the_cover(vertex):
+    cov = build_ball_cover(circle_space(12), 1.2, seed=0)
+    assert cov.n_sets == 5
+    pou = PartitionOfUnity(cov)
+    with pytest.raises(MetricError) as exc:
+        homotopy_H(pou, BarycentricPoint({vertex: 1.0}), 0, 0.5)
+    assert str(exc.value) == f"vertex {vertex} is not a set index in [0, 5)"
 
 
 def test_homotopy_F_endpoints_exact():

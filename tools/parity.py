@@ -25,6 +25,10 @@ with sha256:
   bytes of every file written.  ``nerve-whole`` is ``nerve`` without
   ``--max-dim`` on ten whole-space sets of a 12-point line, whose whole
   nerve is the 9-simplex and whose 8-skeleton is its boundary
+- ``metric/edge``: the stored matrix or the error message of validating two
+  matrices at the tolerance edge, one whose negative diagonal makes its
+  stored (0,1,0) triangle fail and one skewed triangle whose stored defect
+  is within ``METRIC_TOL``
 
 It prints one line per component with both digests and exits 1 when any
 differs (or is missing on one side), 0 otherwise.
@@ -129,6 +133,21 @@ def _sphere_goodness(seed: int, workdir: str, out: dict):
     res = workload.run(workload.first)
     report, _sets = SphereGoodness.read(res)
     out[f"sphere-goodness/seed{seed}/report"] = _sha(bytes([res["code"]]) + report)
+
+
+def _metric_edge(out: dict):
+    import numpy as np
+
+    from nervekit.metric import FiniteMetricSpace, MetricError
+
+    outcomes = []
+    for d in ([[-1e-9, -1e-9, 0.6], [-1e-9, -1e-9, 0.6], [0.6, 0.6, -1e-9]],
+              [[0.0, 1.0, 2.0 + 1.2e-9], [1.0, 0.0, 1.0], [2.0 + 0.4e-9, 1.0, 0.0]]):
+        try:
+            outcomes.append(_array(FiniteMetricSpace(np.array(d)).dist))
+        except MetricError as exc:
+            outcomes.append(str(exc).encode())
+    out["metric/edge"] = _sha(b"\0".join(outcomes))
 
 
 def _cli_inputs(workdir: str) -> dict:
@@ -258,6 +277,7 @@ def emit(src: str, workdir: str = os.curdir) -> dict:
         _sphere_nerve(seed, workdir, out)
         _sphere_goodness(seed, workdir, out)
     _cli(workdir, out)
+    _metric_edge(out)
     return out
 
 
