@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .complex import BarycentricPoint, realization_distance
 from .cover import Cover
-from .metric import FiniteMetricSpace, MetricError
+from .metric import FiniteMetricSpace, MetricError, _check_points
 from .nerve import nerve_of
 from .partition import PartitionOfUnity
 
@@ -34,6 +34,7 @@ class ConePoint:
 def cone_distance(a: ConePoint, b: ConePoint, space: FiniteMetricSpace, L: float = DEFAULT_L) -> float:
     """Law-of-cosines cone metric with the angle capped at pi."""
     validate_height_scale(L)
+    _check_points((a.base, b.base), space.n, "cone base")
     for p in (a, b):
         if not 0.0 <= p.t <= L:
             raise MetricError(f"cone height {p.t} outside [0, {L}]")

@@ -10,45 +10,30 @@ import csv
 import itertools
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 METRIC_TOL = 1e-9
-# bytes of each temporary of the triangle check and of ``from_coords``, which
-# go in row blocks of this size (at n = 800 on 2 CPUs, 128 KiB to 512 KiB ran
-# within 15% of it)
+# bytes of each temporary of the triangle check and of ``_coord_rows``, which
+# go in row blocks of this size (at n = 800 on one thread, 128 KiB to 512 KiB
+# ran within 15% of it)
 BUDGET = 256 * 2**10
+_EMBED_DIMS = 8  # the most coordinates ``_embeds`` recovers from a matrix
 
 
 class MetricError(ValueError):
     """Raised when data fails metric validation or a precondition."""
 
 
-def _row_blocks(n: int, cpus: int) -> list:
+def _row_blocks(n: int):
     """The (first row, rows) blocks of the triangle kernel, each spanning the
-    columns from its first row on: of ``BUDGET`` bytes each, or, when those
-    would give one of cpus threads less than its share of the cells, one
-    block per thread, all with the same number of cells."""
-    # rho[i]: the rows left at the start of the i-th block from the end when
-    # the cpus blocks hold the same cells, in units where the last block
-    # has 1 row; a block of h rows from a spans h * (n - a) cells
-    rho = [1.0]
-    for _ in range(cpus - 1):
-        r = rho[-1]
-        rho.append((r + math.sqrt(r * r + 4.0)) / 2.0)
-    if n * n > BUDGET // 8 > n * n / rho[-1] ** 2:
-        starts = sorted({n - round(n * r / rho[-1]) for r in rho})
-        return [(a, b - a) for a, b in zip(starts, starts[1:] + [n])]
-    blocks = []
+    columns from its first row on, of ``BUDGET`` bytes (or one row) each."""
     a = 0
     while a < n:
-        step = max(1, BUDGET // (8 * (n - a)))
-        blocks.append((a, min(step, n - a)))
-        a += step
-    return blocks
+        h = min(max(1, BUDGET // (8 * (n - a))), n - a)
+        yield a, h
+        a += h
 
 
 def _triangle_defects(d: np.ndarray) -> np.ndarray:
@@ -56,52 +41,24 @@ def _triangle_defects(d: np.ndarray) -> np.ndarray:
     entry of a matrix d that is symmetric bit for bit exceeds its shortest
     two-step detour.
 
-    The rows go in blocks of ``BUDGET`` bytes, each folding the detours
-    through j = 0, 1, ... into a running minimum in place: the additions are
-    those of one n^3 broadcast and min does not depend on order, so ``bad``
-    matches that broadcast bit for bit.  The blocks are dealt out to up to
-    ``os.cpu_count()`` threads, at most one per block (numpy releases the
-    GIL inside its loops); each block writes only its own rows of ``bad``.
-    When blocks of ``BUDGET`` bytes would give a thread less than its share
-    of the cells (n = 200 on 2 CPUs: 163 rows, then 37), each thread gets
-    one block instead, all with the same number of cells.
-
-    ``bad`` is symmetric bit for bit too: ``bad[k, i]`` folds d[k, j] +
-    d[j, i] = d[j, k] + d[i, j], the same sums as ``bad[i, k]`` in the same
-    order of j.  So a block of rows from a computes only the columns k >= a,
-    and the columns left of a are mirrored from the rows above once every
-    block is done: about half the work of the whole square.
+    Each of the ``_row_blocks`` folds the detours through j = 0, 1, ... into
+    a running minimum in place, so ``bad`` matches one n^3 broadcast bit for
+    bit (the sums are the same and min does not depend on order).  It is
+    symmetric bit for bit too, as ``bad[k, i]`` folds the same sums d[j, k]
+    + d[i, j] in the same order of j: a block from row a computes only the
+    columns k >= a and copies the rest from the rows above, half the work.
     """
     n = len(d)
-    cpus = os.cpu_count() or 1
-    blocks = _row_blocks(n, cpus)
     bad = np.empty_like(d)
-    workers = min(cpus, len(blocks))
-    errors = []
-
-    def fold(first):
-        try:
-            buffers = np.empty((2, max(h * (n - a) for a, h in blocks)))
-            for a, h in blocks[first::workers]:
-                rows = d[a:a + h]
-                b, tb = buffers[:, :h * (n - a)].reshape(2, h, n - a)
-                np.add(rows[:, :1], d[0, a:], out=b)
-                for j in range(1, n):
-                    np.add(rows[:, j:j + 1], d[j, a:], out=tb)
-                    np.minimum(b, tb, out=b)
-                np.subtract(rows[:, a:], b, out=bad[a:a + h, a:])
-        except Exception as exc:  # raised again in the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=fold, args=(w,)) for w in range(1, workers)]
-    for th in threads:
-        th.start()
-    fold(0)
-    for th in threads:
-        th.join()
-    if errors:
-        raise errors[0]
-    for a, h in blocks:
+    buffers = np.empty((2, min(n * n, max(BUDGET // 8, n))))
+    for a, h in _row_blocks(n):
+        rows = d[a:a + h]
+        b, tb = buffers[:, :h * (n - a)].reshape(2, h, n - a)
+        np.add(rows[:, :1], d[0, a:], out=b)
+        for j in range(1, n):
+            np.add(rows[:, j:j + 1], d[j, a:], out=tb)
+            np.minimum(b, tb, out=b)
+        np.subtract(rows[:, a:], b, out=bad[a:a + h, a:])
         bad[a:a + h, :a] = bad[:a, a:a + h].T
     return bad
 
@@ -145,6 +102,57 @@ def _rounding_bound(m: int, dmax: float) -> float:
     gamma = (m + 4) * u / (1.0 - (m + 4) * u)
     eps0 = math.sqrt(m) * 2.0**-536
     return 3.0 * gamma * (dmax + eps0) + 4.0 * eps0
+
+
+def _coord_rows(c: np.ndarray):
+    """The Euclidean distances of the rows of c as (first row, block)
+    pairs, each block's difference array of ``BUDGET`` bytes, with the same
+    per-pair arithmetic as one broadcast."""
+    n, m = c.shape
+    step = max(1, BUDGET // (8 * max(n * m, n, 1)))
+    for a in range(0, n, step):
+        yield a, np.sqrt(((c[a:a + step, None] - c[None]) ** 2).sum(axis=2))
+
+
+def _embeds(d: np.ndarray) -> bool:
+    """Whether float coordinates in R^m, m <= ``_EMBED_DIMS``, reproduce the
+    stored matrix d so closely that the triangle kernel cannot flag it.
+
+    A pivoted partial Cholesky of the Gram matrix about point 0, G[i, j] =
+    (d[0, i]^2 + d[0, j]^2 - d[i, j]^2) / 2, reads one row of d per pivot
+    and stops at a rounding-size residual or after ``_EMBED_DIMS`` pivots.
+    ``_coord_rows`` recomputes the distances dh from its coordinates, and
+    e is the largest computed |d - dh|, found block by block.
+
+    Proof.  Exactly, |d - dh| <= e / (1 - u), and dh_ik - dh_ij - dh_jk <=
+    r = ``_rounding_bound(m, max dh)``, whose proof bounds it before the
+    kernel's rounding; so d_ik - d_ij - d_jk <= r + 3 e / (1 - u).  The
+    kernel computes fl(d_ik - s) with s = fl(d_ij + d_jk) >= d_ij + d_jk -
+    2 u dmax, dmax = max |d|, so each defect it computes is at most
+    (1 + u)(r + 3 e / (1 - u) + 2 u dmax).  The factor 1 + 16 u on 3 e + r +
+    2 u dmax covers that and the sum's own roundings (its terms are >= 0;
+    underflow moves it by less than the gap from METRIC_TOL to the next
+    float).  So when it is <= METRIC_TOL no entry can be flagged.  Soundness
+    never rests on the embedding's accuracy: a poor one makes e larger.
+    """
+    u, n, dmax = 2.0**-53, len(d), max(float(d.max()), -float(d.min()))
+    if 2.0 * u * dmax > METRIC_TOL:  # the kernel's rounding alone; no square overflows below
+        return False
+    sq = d[0] ** 2
+    x, resid, m = np.zeros((n, _EMBED_DIMS)), sq.copy(), 0
+    while m < _EMBED_DIMS and resid.max() > 64.0 * u * dmax * dmax:
+        p = int(np.argmax(resid))
+        x[:, m] = ((sq + sq[p] - d[p] ** 2) / 2.0 - x[:, :m] @ x[p, :m]) / math.sqrt(resid[p])
+        resid -= x[:, m] ** 2
+        m += 1
+    e = dhmax = 0.0
+    for a, dh in _coord_rows(x[:, :m]):
+        e = max(e, float(np.abs(d[a:a + len(dh)] - dh).max()))
+        dhmax = max(dhmax, float(dh.max()))
+        if (3.0 * e + _rounding_bound(m, dhmax) + 2.0 * u * dmax) * (1.0 + 16.0 * u) \
+                > METRIC_TOL:
+            return False
+    return True
 
 
 class _Certified(np.ndarray):
@@ -197,6 +205,8 @@ class FiniteMetricSpace:
     ``METRIC_TOL``.  The stored matrix ``dist`` is the average with the
     transpose with a zero diagonal, and the triangle inequality is checked
     on it, within ``METRIC_TOL``, so every stored matrix validates again.
+    The check's n^3 kernel is skipped where it cannot fail: for a matrix of
+    ``from_coords`` by ``_rounding_bound``, for others by ``_embeds``.
     Instances are immutable and safe to share between threads.
     """
 
@@ -232,15 +242,13 @@ class FiniteMetricSpace:
         over = np.isinf(avg)
         avg[over] = d[over] / 2.0 + d.T[over] / 2.0
         np.fill_diagonal(avg, 0.0)
-        if not certified:
+        if not (certified or _embeds(avg)):
             bad = _triangle_defects(avg)
             if np.any(bad > METRIC_TOL):
                 i, k = np.unravel_index(np.argmax(bad), bad.shape)
                 j = int(np.argmin(avg[i, :] + avg[:, k]))
-                raise MetricError(
-                    f"triangle inequality violated for ({i},{j},{k}): "
-                    f"{avg[i, k]} > {avg[i, j]} + {avg[j, k]}"
-                )
+                raise MetricError(f"triangle inequality violated for ({i},{j},{k}): "
+                                  f"{avg[i, k]} > {avg[i, j]} + {avg[j, k]}")
         avg.setflags(write=False)
         object.__setattr__(self, "dist", avg)
         if self.points is None:
@@ -261,12 +269,10 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_coords(cls, coords) -> "FiniteMetricSpace":
-        """Euclidean metric on a point cloud in R^d.
-
-        The distances are computed in row blocks whose difference array
-        takes ``BUDGET`` bytes, with the same per-pair arithmetic as one
-        broadcast.  The triangle check is skipped when ``_rounding_bound``
-        shows that it cannot fail; every other check runs."""
+        """Euclidean metric on a point cloud in R^d, its distances from
+        ``_coord_rows``.  The triangle check is skipped when
+        ``_rounding_bound`` shows that it cannot fail; every other check
+        runs."""
         try:
             c = np.asarray(coords, dtype=float)
         except ValueError:
@@ -276,9 +282,8 @@ class FiniteMetricSpace:
             raise MetricError("coords must be a 2-D array")
         n, m = c.shape
         d = np.empty((n, n))
-        step = max(1, BUDGET // (8 * max(n * m, 1)))
-        for a in range(0, n, step):
-            d[a:a + step] = np.sqrt(((c[a:a + step, None] - c[None]) ** 2).sum(axis=2))
+        for a, rows in _coord_rows(c):
+            d[a:a + len(rows)] = rows
         if _rounding_bound(m, np.max(d, initial=0.0)) <= METRIC_TOL:
             d = d.view(_Certified)
         return cls(d)
@@ -339,6 +344,7 @@ class PointMap:
         object.__setattr__(self, "image", img)
 
     def __call__(self, i: int) -> int:
+        _check_points([i], self.source.n, "source point")
         return int(self.image[i])
 
     def distortion(self):
@@ -516,9 +522,8 @@ def comparison_angle(space: FiniteMetricSpace, x: int, p: int, y: int) -> float:
 
     The cosine argument is clamped to [-1, 1] before arccos.
     """
-    a = space.dist[p, x]
-    b = space.dist[p, y]
-    c = space.dist[x, y]
+    _check_points((x, p, y), space.n, "angle point")
+    a, b, c = space.dist[p, x], space.dist[p, y], space.dist[x, y]
     if a == 0.0 or b == 0.0:
         raise MetricError("comparison angle undefined: point coincides with vertex")
     cos = (a * a + b * b - c * c) / (2.0 * a * b)
@@ -543,23 +548,13 @@ def check_strainer(space: FiniteMetricSpace, p: int, pairs, delta: float) -> Str
     if len(pairs) == 0:
         raise MetricError("a strainer needs at least one pair")
     _check_points([p, *itertools.chain(*pairs)], space.n, "strainer point")
-    margins = []
-    m = len(pairs)
-    for i, (a, b) in enumerate(pairs):
-        margins.append(comparison_angle(space, a, p, b) - (math.pi - delta))
+    margins = [comparison_angle(space, a, p, b) - (math.pi - delta) for a, b in pairs]
     half = math.pi / 2.0 - delta
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            ai, bi = pairs[i]
-            aj, bj = pairs[j]
-            margins.append(comparison_angle(space, ai, p, bj) - half)
-            if i < j:
-                margins.append(comparison_angle(space, ai, p, aj) - half)
-                margins.append(comparison_angle(space, bi, p, bj) - half)
-    length = min(
-        min(space.dist[p, a], space.dist[p, b]) for a, b in pairs
-    )
+    for (ai, bi), (aj, bj) in itertools.permutations(pairs, 2):
+        margins.append(comparison_angle(space, ai, p, bj) - half)
+    for (ai, bi), (aj, bj) in itertools.combinations(pairs, 2):
+        margins += [comparison_angle(space, ai, p, aj) - half,
+                    comparison_angle(space, bi, p, bj) - half]
+    length = min(min(space.dist[p, a], space.dist[p, b]) for a, b in pairs)
     worst = min(margins)
     return StrainerReport(ok=worst > 0.0, worst_margin=float(worst), length=float(length))

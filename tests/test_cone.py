@@ -8,7 +8,7 @@ from nervekit.cone import (ConePoint, CylinderPoint, CylinderSpace,
                            cone_distance, validate_height_scale, DEFAULT_L)
 from nervekit.complex import BarycentricPoint, realization_distance
 from nervekit.metric import MetricError
-from nervekit.samples import circle_space, random_point_space
+from nervekit.samples import circle_space, line_space, random_point_space
 
 
 def test_height_scale_guard():
@@ -21,6 +21,17 @@ def test_cone_distance_rejects_out_of_range_height():
     sp = circle_space(8)
     with pytest.raises(MetricError, match="outside"):
         cone_distance(ConePoint(0, -0.1), ConePoint(1, 0.0), sp)
+
+
+@pytest.mark.parametrize("base", [-1, 4])
+def test_cone_distance_names_a_bad_base(base):
+    # -1 used to measure from base 3, and 4 to raise a bare IndexError
+    sp = line_space(4)
+    bad, good = ConePoint(base, 0.0), ConePoint(0, 1.0)
+    for a, b in ((bad, good), (good, bad)):
+        with pytest.raises(MetricError) as exc:
+            cone_distance(a, b, sp)
+        assert str(exc.value) == f"cone base {base} is not a point index in [0, 4)"
 
 
 def test_apex_points_identified():

@@ -2,7 +2,6 @@ import contextlib
 import itertools
 import json
 import math
-import threading
 import tracemalloc
 from unittest import mock
 
@@ -17,7 +16,8 @@ from nervekit.metric import (METRIC_TOL, ApproximationReport,
                              check_approximation,
                              check_strainer, comparison_angle,
                              gh_distance_bound, gh_distance_exhaustive)
-from nervekit.samples import circle_space, line_space, random_point_space
+from nervekit.samples import (circle_space, grid_with_strainers, line_space,
+                              random_point_space, sphere_coords, tree_space)
 from conftest import spaces
 from oracles import coord_distances, triangle_defects
 
@@ -315,7 +315,7 @@ def _unblocked_triangle_message(d) -> str:
 def test_triangle_witness_spans_blocks():
     n = 101
     with _small_blocks():
-        assert len(metric._row_blocks(n, 1)) == 5  # the last one of 29 rows
+        assert len(list(metric._row_blocks(n))) == 5  # the last one of 29 rows
     d = np.array(random_point_space(n, dim=2, seed=4).dist)
     # a small violation in the first block, the worst one in the last
     for (i, k), excess in (((1, 7), 0.5), ((n - 9, n - 2), 3.0), ((40, n - 1), 1.0)):
@@ -325,22 +325,21 @@ def test_triangle_witness_spans_blocks():
     assert message.startswith(f"triangle inequality violated for ({n - 9},")
 
 
-@given(st.data(), st.integers(1, 4))
+@given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_kernel_matches_blocked_oracle(data, cpus):
+def test_kernel_matches_blocked_oracle(data):
     d = _euclidean(data)
     if data.draw(st.booleans(), label="perturb"):
         # symmetric noise of up to 50% breaks many triangles
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="noise"))
         f = rng.uniform(0.5, 1.5, size=d.shape)
         d = d * (f + f.T) / 2.0
-    with _small_blocks(), mock.patch("os.cpu_count", return_value=cpus):
+    with _small_blocks():
         bad = metric._triangle_defects(d)
     assert bad.tobytes() == triangle_defects(d).tobytes()
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_a_zero_facing_a_negative_zero_is_stored_symmetric(cpus):
+def test_a_zero_facing_a_negative_zero_is_stored_symmetric():
     # a repeated point whose 0.0 faces a -0.0 across the diagonal: equal as
     # numbers, not as bits, but their stored average is 0.0 on both sides
     # (rows 3 and 38 fall in different blocks)
@@ -348,7 +347,7 @@ def test_a_zero_facing_a_negative_zero_is_stored_symmetric(cpus):
     c[38] = c[3]
     d = np.array(FiniteMetricSpace.from_coords(c).dist)
     d[38, 3] = -0.0
-    with _small_blocks(), mock.patch("os.cpu_count", return_value=cpus):
+    with _small_blocks():
         stored = FiniteMetricSpace(d).dist
         bad = metric._triangle_defects(stored)
     assert stored.tobytes() == np.ascontiguousarray(stored.T).tobytes()
@@ -357,18 +356,17 @@ def test_a_zero_facing_a_negative_zero_is_stored_symmetric(cpus):
 
 def test_kernel_matches_blocked_oracle_at_full_budget():
     n = 400
-    assert len(metric._row_blocks(n, 1)) >= 3
+    assert len(list(metric._row_blocks(n))) >= 3
     d = np.array(random_point_space(n, dim=3, seed=5).dist)
     d[3, 390] = d[390, 3] = d[3, 390] + 1.0
     assert metric._triangle_defects(d).tobytes() == triangle_defects(d).tobytes()
 
 
 @pytest.mark.parametrize("small", [True, False])
-@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [150, 200, 291, 445])
-def test_row_blocks_tile_the_rows(n, cpus, small):
+def test_row_blocks_tile_the_rows(n, small):
     with _small_blocks() if small else contextlib.nullcontext():
-        blocks = metric._row_blocks(n, cpus)
+        blocks = list(metric._row_blocks(n))
         budget = metric.BUDGET
     assert [a for a, _h in blocks] == list(itertools.accumulate(
         (h for _a, h in blocks[:-1]), initial=0))
@@ -376,39 +374,8 @@ def test_row_blocks_tile_the_rows(n, cpus, small):
     assert all(h * (n - a) <= max(budget // 8, n) for a, h in blocks)
 
 
-@pytest.mark.parametrize("violated", [True, False])
-def test_few_blocks_give_each_thread_an_equal_share(violated):
-    # blocks of BUDGET bytes at n = 200 would be 163 rows and then 37
-    n = 200
-    blocks = metric._row_blocks(n, 2)
-    cells = [h * (n - a) for a, h in blocks]
-    assert len(blocks) == 2 and max(cells) - min(cells) <= n
-    d = np.array(random_point_space(n, dim=3, seed=6).dist)
-    if violated:
-        d[5, 190] = d[190, 5] = d[5, 190] + 1.0
-    with mock.patch("os.cpu_count", return_value=2):
-        bad = metric._triangle_defects(d)
-    assert bad.tobytes() == triangle_defects(d).tobytes()
-    assert (bad.max() > METRIC_TOL) == violated
-
-
-def test_kernel_raises_a_worker_error():
-    d = np.array(random_point_space(70, dim=3, seed=1).dist)
-    minimum = np.minimum
-
-    def failing_off_main_thread(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise FloatingPointError("worker failed")
-        return minimum(*args, **kwargs)
-
-    with _small_blocks(), mock.patch("os.cpu_count", return_value=2), \
-            mock.patch.object(metric.np, "minimum", failing_off_main_thread):
-        with pytest.raises(FloatingPointError, match="worker failed"):
-            metric._triangle_defects(d)
-
-
 def test_validation_memory_is_bounded():
-    d = np.array(random_point_space(300, dim=3, seed=0).dist)
+    d = np.array(tree_space(300).dist)  # not Euclidean, so the kernel runs
     tracemalloc.start()
     try:
         FiniteMetricSpace(d)
@@ -428,7 +395,8 @@ def test_validation_memory_is_bounded_at_600_points():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a 32-row block of the broadcast check alone is 92 MB
+    # a 32-row block of the broadcast check alone is 92 MB; this Euclidean
+    # matrix is validated by ``_embeds``, in blocks of BUDGET bytes too
     assert peak < 6 * 8 * n * n
 
 
@@ -555,17 +523,76 @@ def test_kernel_skipped_only_where_the_bound_allows(kernel_calls):
     assert kernel_calls == [60, 60]
 
 
-def test_distance_matrix_input_always_runs_the_kernel(tmp_path, kernel_calls):
+def test_non_euclidean_matrix_input_runs_the_kernel(tmp_path, kernel_calls):
+    # a tree metric and the 4-cycle's path metric: no points of any R^m have
+    # these distances, so ``_embeds`` leaves them to the kernel
+    sp = tree_space(8)
+    kernel_calls.clear()  # tree_space validated its matrix already
+    FiniteMetricSpace(np.array(sp.dist))
+    (tmp_path / "d.json").write_text(json.dumps(sp.to_json()))
+    FiniteMetricSpace.load(str(tmp_path / "d.json"))
+    (tmp_path / "d.csv").write_text("0,1,2,1\n1,0,1,2\n2,1,0,1\n1,2,1,0\n")
+    FiniteMetricSpace.load(str(tmp_path / "d.csv"))
+    assert kernel_calls == [8, 8, 4]
+    (tmp_path / "c.json").write_text(json.dumps({"coords": [[0.0, 0.0], [3.0, 4.0]]}))
+    assert FiniteMetricSpace.load(str(tmp_path / "c.json")).dist[0, 1] == 5.0
+    assert kernel_calls == [8, 8, 4]
+
+
+def test_euclidean_matrix_input_skips_the_kernel(tmp_path, kernel_calls):
     sp = circle_space(8)
     FiniteMetricSpace(np.array(sp.dist))
     (tmp_path / "d.json").write_text(json.dumps(sp.to_json()))
     FiniteMetricSpace.load(str(tmp_path / "d.json"))
     (tmp_path / "d.csv").write_text("0,1,2\n1,0,1\n2,1,0\n")
     FiniteMetricSpace.load(str(tmp_path / "d.csv"))
-    assert kernel_calls == [8, 8, 3]
-    (tmp_path / "c.json").write_text(json.dumps({"coords": [[0.0, 0.0], [3.0, 4.0]]}))
-    assert FiniteMetricSpace.load(str(tmp_path / "c.json")).dist[0, 1] == 5.0
-    assert kernel_calls == [8, 8, 3]
+    assert kernel_calls == []
+
+
+def test_sample_matrices_are_certified():
+    # the strained 21 x 21 grid, a jittered 200-point sphere by one
+    # broadcast and the 2,000-point sphere are certified; a tree is not
+    rng = np.random.default_rng(1)
+    c = sphere_coords(200) + rng.normal(scale=0.01, size=(200, 3))
+    c /= np.linalg.norm(c, axis=1)[:, None]
+    for d in (grid_with_strainers(21)[0].dist, coord_distances(c),
+              FiniteMetricSpace.from_coords(sphere_coords(2000)).dist):
+        assert metric._embeds(np.array(d))
+    assert not metric._embeds(np.array(tree_space(200).dist))
+
+
+@st.composite
+def _near_euclidean(draw):
+    """Stored matrices (symmetric, zero diagonal) of 1 to 40 points of rank 0
+    to 10 in R^10 at scales 1e-6 to 1e8, with repeated points, symmetric
+    noise of up to ``METRIC_TOL`` and one pair of entries lengthened by up to
+    twice ``METRIC_TOL``."""
+    n = draw(st.sampled_from([1, 2]) | st.integers(3, 40), label="n")
+    rank = draw(st.integers(0, 10), label="rank")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    c = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, 10))
+    c *= 10.0 ** draw(st.integers(-6, 8), label="exponent")
+    for _ in range(draw(st.integers(0, 3), label="repeats")):
+        c[rng.integers(n)] = c[rng.integers(n)]
+    d = coord_distances(c)
+    size = st.sampled_from([0.0, 1e-12, 1e-10, METRIC_TOL / 4, METRIC_TOL / 3, METRIC_TOL,
+                            2.0 * METRIC_TOL])
+    noise = draw(size, label="noise")
+    d += rng.uniform(-noise, noise, size=d.shape)
+    i, k = rng.integers(n, size=2)
+    d[[i, k], [k, i]] += draw(size, label="lengthen")
+    d = (d + d.T) / 2.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@given(_near_euclidean())
+@settings(max_examples=400, deadline=None)
+def test_certificate_accepts_only_what_the_kernel_accepts(d):
+    with _small_blocks():  # several blocks of recomputed distances
+        certified = metric._embeds(d)
+    if certified:
+        assert triangle_defects(d).max() <= METRIC_TOL
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -604,6 +631,17 @@ def test_malformed_space_file_is_named(tmp_path, name, text, message):
 # ---------------------------------------------------------------------------
 # approximations and GH distance
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("i", [-1, 4, True, 1.0])
+def test_point_map_names_a_bad_point(i):
+    # -1 used to give point 3's image, and 4 a bare IndexError
+    sp = line_space(4)
+    f = PointMap(sp, sp, np.arange(4)[::-1])
+    assert [f(x) for x in range(4)] == [3, 2, 1, 0]
+    with pytest.raises(MetricError) as exc:
+        f(i)
+    assert str(exc.value) == f"source point {i!r} is not a point index in [0, 4)"
 
 
 def test_identity_is_perfect_approximation():
@@ -698,6 +736,15 @@ def test_comparison_angle_degenerate_leg():
     sp = line_space(3)
     with pytest.raises(MetricError, match="coincides"):
         comparison_angle(sp, 1, 1, 2)
+
+
+@pytest.mark.parametrize("args, bad", [
+    ((-1, 1, 0), -1), ((0, 4, 1), 4), ((0, 1, 4), 4), ((0, 1.0, 2), 1.0)])
+def test_comparison_angle_names_a_bad_point(args, bad):
+    # -1 used to wrap round to point 3, and 4 to raise a bare IndexError
+    with pytest.raises(MetricError) as exc:
+        comparison_angle(line_space(4), *args)
+    assert str(exc.value) == f"angle point {bad!r} is not a point index in [0, 4)"
 
 
 def test_strainer_on_plane_grid():

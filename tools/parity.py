@@ -29,6 +29,10 @@ with sha256:
   matrices at the tolerance edge, one whose negative diagonal makes its
   stored (0,1,0) triangle fail and one skewed triangle whose stored defect
   is within ``METRIC_TOL``
+- ``metric/kernel``: the stored matrix or the error message of validating
+  two matrices that no coordinates reproduce, so that the triangle kernel
+  checks them: ``tree_space(60)``, accepted, and the same matrix with one
+  entry lengthened past its path in the tree, rejected with its witness
 
 It prints one line per component with both digests and exits 1 when any
 differs (or is missing on one side), 0 otherwise.
@@ -135,19 +139,31 @@ def _sphere_goodness(seed: int, workdir: str, out: dict):
     out[f"sphere-goodness/seed{seed}/report"] = _sha(bytes([res["code"]]) + report)
 
 
-def _metric_edge(out: dict):
+def _validated(matrices) -> str:
+    """The digest of each matrix's stored matrix, or of its error message."""
     import numpy as np
 
     from nervekit.metric import FiniteMetricSpace, MetricError
 
     outcomes = []
-    for d in ([[-1e-9, -1e-9, 0.6], [-1e-9, -1e-9, 0.6], [0.6, 0.6, -1e-9]],
-              [[0.0, 1.0, 2.0 + 1.2e-9], [1.0, 0.0, 1.0], [2.0 + 0.4e-9, 1.0, 0.0]]):
+    for d in matrices:
         try:
             outcomes.append(_array(FiniteMetricSpace(np.array(d)).dist))
         except MetricError as exc:
             outcomes.append(str(exc).encode())
-    out["metric/edge"] = _sha(b"\0".join(outcomes))
+    return _sha(b"\0".join(outcomes))
+
+
+def _metric(out: dict):
+    from nervekit.samples import tree_space
+
+    out["metric/edge"] = _validated((
+        [[-1e-9, -1e-9, 0.6], [-1e-9, -1e-9, 0.6], [0.6, 0.6, -1e-9]],
+        [[0.0, 1.0, 2.0 + 1.2e-9], [1.0, 0.0, 1.0], [2.0 + 0.4e-9, 1.0, 0.0]]))
+    tree = tree_space(60).dist
+    longer = tree.copy()
+    longer[7, 41] = longer[41, 7] = tree[7, 41] + 0.5  # its path runs through 9
+    out["metric/kernel"] = _validated((tree, longer))
 
 
 def _cli_inputs(workdir: str) -> dict:
@@ -277,7 +293,7 @@ def emit(src: str, workdir: str = os.curdir) -> dict:
         _sphere_nerve(seed, workdir, out)
         _sphere_goodness(seed, workdir, out)
     _cli(workdir, out)
-    _metric_edge(out)
+    _metric(out)
     return out
 
 
