@@ -339,15 +339,16 @@ def test_kernel_matches_blocked_oracle(data):
     assert bad.tobytes() == triangle_defects(d).tobytes()
 
 
-def test_a_zero_facing_a_negative_zero_is_stored_symmetric():
+@pytest.mark.parametrize("shrink", [1, 2])
+def test_a_zero_facing_a_negative_zero_is_stored_symmetric(shrink):
     # a repeated point whose 0.0 faces a -0.0 across the diagonal: equal as
     # numbers, not as bits, but their stored average is 0.0 on both sides
-    # (rows 3 and 38 fall in different blocks)
+    # (rows 3 and 38 fall in different blocks of 35 or 17 rows)
     c = np.random.default_rng(3).uniform(0.0, 1.0, size=(40, 2))
     c[38] = c[3]
     d = np.array(FiniteMetricSpace.from_coords(c).dist)
     d[38, 3] = -0.0
-    with _small_blocks():
+    with mock.patch.object(metric, "BUDGET", SMALL_BUDGET // shrink):
         stored = FiniteMetricSpace(d).dist
         bad = metric._triangle_defects(stored)
     assert stored.tobytes() == np.ascontiguousarray(stored.T).tobytes()
@@ -363,11 +364,14 @@ def test_kernel_matches_blocked_oracle_at_full_budget():
 
 
 @pytest.mark.parametrize("small", [True, False])
+@pytest.mark.parametrize("shrink", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [150, 200, 291, 445])
-def test_row_blocks_tile_the_rows(n, small):
-    with _small_blocks() if small else contextlib.nullcontext():
+def test_row_blocks_tile_the_rows(n, shrink, small):
+    # budgets of 1/1 to 1/4 of BUDGET or SMALL_BUDGET: SMALL_BUDGET / 4 at
+    # n = 445 holds less than one row, so the first blocks are one row each
+    budget = (SMALL_BUDGET if small else metric.BUDGET) // shrink
+    with mock.patch.object(metric, "BUDGET", budget):
         blocks = list(metric._row_blocks(n))
-        budget = metric.BUDGET
     assert [a for a, _h in blocks] == list(itertools.accumulate(
         (h for _a, h in blocks[:-1]), initial=0))
     assert sum(h for _a, h in blocks) == n
