@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,11 +101,12 @@ class Contraction:
             raise MetricError(f"point {x} outside contraction domain")
         if time >= self.L / 2.0:
             return self.center
-        path = self.paths[x]
-        if time <= 0.0 or len(path) == 1:
+        if time <= 0.0:
             return x
-        frac = time / (self.L / 2.0)
-        return path[int(round(frac * (len(path) - 1)))]
+        if math.isnan(time):
+            raise MetricError(f"contraction time {time} is not a number")
+        path = self.paths[x]
+        return path[int(round(time / (self.L / 2.0) * (len(path) - 1)))]
 
 
 def build_contractions(cover: Cover, L: float) -> dict:
@@ -117,6 +119,11 @@ def build_contractions(cover: Cover, L: float) -> dict:
             for level in _records(cover, cover.n_sets) for idx, members, center in level}
 
 
+def _check_s(s: float):
+    if not 0.0 <= s <= 1.0:
+        raise MetricError(f"homotopy parameter {s} outside [0, 1]")
+
+
 def homotopy_H(pou: PartitionOfUnity, theta: BarycentricPoint, x: int,
                s: float) -> CylinderPoint:
     """Slide theta toward the nerve image of x along the straight segment.
@@ -124,6 +131,7 @@ def homotopy_H(pou: PartitionOfUnity, theta: BarycentricPoint, x: int,
     At s=0 this is the identity, at s=1 the pair lands on the graph of the
     nerve map, and points already on the graph stay put for every s.
     """
+    _check_s(s)
     cover = pou.cover
     for j in sorted(theta.support):
         if not 0 <= j < cover.n_sets:
@@ -138,11 +146,15 @@ def homotopy_H(pou: PartitionOfUnity, theta: BarycentricPoint, x: int,
 
 def homotopy_F(p: CylinderPoint, s: float, L: float) -> CylinderPoint:
     """Push the cone factor toward the apex; the apex slice is fixed."""
+    _check_s(s)
     return CylinderPoint(p.theta, ConePoint(p.cone.base, lerp(p.cone.t, L, s)))
 
 
 def cone_retraction_phi(contraction: Contraction, p: ConePoint, s: float) -> ConePoint:
     """Retraction of the cone over one cover set onto its base slice."""
+    _check_s(s)
+    if not 0.0 <= p.t <= contraction.L:
+        raise MetricError(f"height {p.t} outside [0, {contraction.L}]")
     (base,), (t,) = _cone_path(contraction, p, (s,))
     return ConePoint(base, t)
 
@@ -154,6 +166,7 @@ def radial_projection(sigma, x: BarycentricPoint, t: float, L: float):
 
     Returns (target point, landing height).  Points of the boundary wall and
     of the base slice are their own images, exactly.  Heights lie in [0, L].
+    The one row is ``_project``'s arithmetic in Python floats, in its order.
     """
     if not 0.0 <= t <= L:
         raise MetricError(f"height {t} outside [0, {L}]")
@@ -165,12 +178,19 @@ def radial_projection(sigma, x: BarycentricPoint, t: float, L: float):
         return x, t
     if not supp <= whole:
         raise MetricError("barycentric point is not carried by the simplex")
-    out, u = _project(np.array([[x[v] for v in sigma]]), t, L)
-    return BarycentricPoint(dict(zip(sigma, out[0].tolist()))), float(u[0])
+    coords = [x[v] for v in sigma]
+    bary = 1.0 / len(coords)
+    lam = [bary / gap if gap > 0.0 else math.inf for gap in [bary - c for c in coords]]
+    lam_wall, lam0 = min(lam), 2.0 * L / (2.0 * L - t)
+    wall = lam_wall < lam0
+    out = [0.0 if wall and hit == lam_wall else bary + (lam_wall if wall else lam0) * (c - bary)
+           for c, hit in zip(coords, lam)]
+    u = min(max(2.0 * L + lam_wall * (t - 2.0 * L), 0.0), L) if wall else 0.0
+    return BarycentricPoint({v: max(c, 0.0) for v, c in zip(sigma, out)}), float(u)
 
 
 def _project(coords: np.ndarray, t, L: float):
-    """``radial_projection``'s arithmetic on rows of sigma coordinates at
+    """The radial projection of ``_BlendGrid``'s rows of sigma coordinates at
     heights t (per row, or one for all): the rows moved away from the
     barycenter until they reach the base slice or a wall, with the coordinates
     that reach it together set to 0 and all clipped at 0, and the heights u."""
@@ -247,8 +267,17 @@ def simplexwise_retraction(sigma, contraction: Contraction, x: BarycentricPoint,
     Returns the pair (simplex point, cone point).  The base slice and the
     cone over the simplex boundary are fixed pointwise at every s.
     """
+    _check_s(s)
     end = _simplexwise_stage(tuple(sorted(sigma)), contraction, x, p, (s,), L).end
     return end.theta, end.cone
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _s_grid(n_steps: int) -> tuple:
+    """i / n_steps for i = 0, ..., n_steps, for a positive integer n_steps."""
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise MetricError(f"n_steps must be a positive integer, got {n_steps!r}")
+    return tuple(i / int(n_steps) for i in range(n_steps + 1))
 
 
 @functools.lru_cache(maxsize=64)
@@ -270,7 +299,7 @@ def _bases(contraction, base: int, times) -> tuple:
     for time in times:
         if time not in seen:
             seen[time] = contraction(base, time)
-    return tuple(seen[time] for time in times)
+    return tuple(map(seen.__getitem__, times))
 
 
 def _simplexwise_stage(sigma: tuple, contraction, x: BarycentricPoint, p: ConePoint,
@@ -279,36 +308,27 @@ def _simplexwise_stage(sigma: tuple, contraction, x: BarycentricPoint, p: ConePo
     simplex sigma, as one stage.
 
     The radial projection psi0, its height u and the blended height depend
-    only on (sigma, x, t), so they are computed once.  The simplex points are
-    the rows of one matrix ``a + s * d``, with a = x and d = psi0 - x over
-    the keys of ``combine`` in its key order.  Each row gets
-    ``BarycentricPoint``'s drop and renormalisation, its total summed column
-    by column as ``BarycentricPoint`` sums it, so each is the point
-    ``combine(x, psi0, s)``, float for float.  At s = 0 and s = 1 the rows
-    are x and psi0 themselves.
+    only on (sigma, x, t), so they are computed once.  The stage keeps
+    a = x and b = psi0 over the keys of ``combine`` in its key order, and
+    which weights of ``a + s * (b - a)`` each s keeps: those above
+    ``WEIGHT_DROP``, at s = 1 those of b, its row (at s = 0 the row is a).
     """
     t = p.t
     psi0, u = radial_projection(sigma, x, t, L)
     w = height_blend(sigma, x, t, L, u)
     keys = tuple(set(x.weights) | set(psi0.weights))
-    a = np.array([x[v] for v in keys])
-    b = np.array([psi0[v] for v in keys])
-    s, mus, nus, _gs, zeros, ones = _grid(s_grid)
-    weights = a + s * (b - a)
-    weights = np.where(weights > WEIGHT_DROP, weights, 0.0)
-    totals = weights.cumsum(axis=1)[:, -1].tolist()
-    # every kept weight is positive, so a row is empty when its total is 0
-    if 0.0 in totals:
-        raise ComplexError("barycentric point needs positive weight")
-    for i, total in enumerate(totals):
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            weights[i] /= total
-    for i in zeros:
-        weights[i] = a
+    ends = [x[v] for v in keys], [psi0[v] for v in keys]
+    s, mus, nus, _gs, _zeros, ones = _grid(s_grid)
+    a, b = np.array(ends)
+    kept = (a + s * (b - a) > WEIGHT_DROP).tolist()
     for i in ones:
-        weights[i] = b
+        kept[i] = [v > WEIGHT_DROP for v in ends[1]]
+    kept = list(map(tuple, kept))
+    # kept weights exceed WEIGHT_DROP, so a row totals 0 when it keeps none
+    if (False,) * len(keys) in kept:
+        raise ComplexError("barycentric point needs positive weight")
     times = [0.0 if mu == 0.0 else mu * (t - u) for mu in mus]
-    return TraceStage._sampled(sigma, s_grid, keys, weights,
+    return TraceStage._sampled(sigma, s_grid, keys, ends, kept,
                                _bases(contraction, p.base, times),
                                tuple(lerp(t, w, nu) for nu in nus))
 
@@ -325,8 +345,9 @@ def _cone_stage(sigma: tuple, contraction, x: BarycentricPoint, p: ConePoint,
                 s_grid: tuple) -> "TraceStage":
     """``cone_retraction_phi`` at each s of ``s_grid``, with the simplex
     point x held fixed, as one stage."""
-    weights = np.full((len(s_grid), len(x.weights)), list(x.weights.values()))
-    return TraceStage._sampled(sigma, s_grid, tuple(x.weights), weights,
+    row = list(x.weights.values())
+    return TraceStage._sampled(sigma, s_grid, tuple(x.weights), (row, row),
+                               [(True,) * len(row)] * len(s_grid),
                                *_cone_path(contraction, p, s_grid))
 
 
@@ -341,10 +362,11 @@ class TraceStage:
     """One stage of a trace: the points at each s of ``s_grid`` under the
     retraction over ``simplex``.
 
-    A stage that ``full_cylinder_retraction`` samples keeps arrays: a weight
-    matrix over the vertices ``_keys``, one row per s with 0.0 where a weight
-    is dropped, and the bases and heights.  It builds ``points`` from them
-    on first read, and its last point ``end`` at once.
+    A stage that ``full_cylinder_retraction`` samples keeps the ends a and b
+    of its segment ``a + s * (b - a)`` over the vertices ``_keys``, which
+    weights each s keeps (``_kept``, one row of flags per s), and the bases
+    and heights.  It builds its last point ``end`` at once, from b when the
+    grid ends at s = 1, and ``points`` with their weight matrix on first read.
     """
 
     def __init__(self, simplex: tuple, s_grid: tuple, points: tuple):
@@ -352,16 +374,30 @@ class TraceStage:
         self.end = self.points[-1] if self.points else None
 
     @classmethod
-    def _sampled(cls, simplex, s_grid, keys, weights, bases, heights) -> "TraceStage":
+    def _sampled(cls, simplex, s_grid, keys, ends, kept, bases, heights) -> "TraceStage":
         stage = cls.__new__(cls)
         stage.simplex, stage.s_grid = tuple(simplex), tuple(s_grid)
-        stage._keys, stage._weights, stage._bases, stage._heights = keys, weights, bases, heights
-        stage.end = _point(keys, weights[-1].tolist(), bases[-1], heights[-1])
+        stage._keys, stage._ends, stage._kept = keys, ends, kept
+        stage._bases, stage._heights = bases, heights
+        stage.end = (_point(keys, ends[1], bases[-1], heights[-1]) if s_grid[-1] == 1.0
+                     else stage.points[-1])
         return stage
 
     @functools.cached_property
     def points(self) -> tuple:
-        return tuple(map(functools.partial(_point, self._keys), self._weights.tolist(),
+        """The rows of ``a + s * (b - a)`` with ``BarycentricPoint``'s drop and
+        renormalisation, totals summed column by column as it sums them, so
+        each is ``combine(a, b, s)`` float for float; at s = 0 and 1, a and b."""
+        a, b = np.array(self._ends)
+        s, *_cutoffs, zeros, ones = _grid(self.s_grid)
+        weights = a + s * (b - a)
+        weights = np.where(weights > WEIGHT_DROP, weights, 0.0)
+        for i, total in enumerate(weights.cumsum(axis=1)[:, -1].tolist()):
+            if abs(total - 1.0) > WEIGHT_SUM_TOL:
+                weights[i] /= total
+        weights[zeros] = a
+        weights[ones] = b
+        return tuple(map(functools.partial(_point, self._keys), weights.tolist(),
                          self._bases, self._heights))
 
     def _fields(self) -> tuple:
@@ -381,7 +417,7 @@ class TraceStage:
         point's membership depends only on its support, its base and whether
         its height lies in [0, L], so one check is made per such key."""
         inside = [0.0 <= h <= cyl.L for h in self._heights]
-        distinct = set(zip(map(tuple, (self._weights != 0.0).tolist()), self._bases, inside))
+        distinct = set(zip(self._kept, self._bases, inside))
         return all(cyl._holds(frozenset(itertools.compress(self._keys, on)), base, ok)
                    for on, base, ok in distinct)
 
@@ -427,22 +463,16 @@ def full_cylinder_retraction(cyl: CylinderSpace, contractions: dict,
     s grid; the support either loses a vertex or the height drops to zero,
     so the composition terminates.
     """
+    grid = _s_grid(n_steps)
     cyl.require(point)
-    grid = tuple(i / n_steps for i in range(n_steps + 1))
-    stages = []
-    membership_ok = True
-    cur = point
-    guard = 0
+    stages, membership_ok, cur = [], True, point
     max_stages = cyl.nerve.dim + 2
     while cur.cone.t != 0.0:
-        guard += 1
-        if guard > max_stages:
+        if len(stages) == max_stages:
             raise MetricError("cylinder retraction failed to terminate")
         supp = cur.theta.support
         if supp not in contractions:
-            raise MetricError(
-                f"missing contraction data for simplex {sorted(supp)}"
-            )
+            raise MetricError(f"missing contraction data for simplex {sorted(supp)}")
         con = contractions[supp]
         sigma = tuple(sorted(supp))
         if len(sigma) == 1:
@@ -464,9 +494,9 @@ def measure_retraction_lipschitz(contraction: Contraction,
     Returns (measured constant, measured constant of the contraction flow,
     shape ratio c with measured <= c * L * (1 + L) * flow constant).
     """
+    grid = _s_grid(n_steps)
     rng = np.random.default_rng(seed)
     members = sorted(contraction.members)
-    grid = [i / n_steps for i in range(n_steps + 1)]
 
     def sample_point():
         return (

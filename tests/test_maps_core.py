@@ -106,6 +106,19 @@ def test_lazy_stages_equal_the_eager_replay(case, n_steps):
     assert copy.to_json() == got.to_json()
 
 
+@given(cylinder_points(), st.sampled_from([1, 2, 16]))
+@settings(max_examples=60, deadline=None)
+def test_a_trace_builds_no_weight_matrix_until_its_points_are_read(case, n_steps):
+    # a stage builds its weight matrix only for its cached points
+    name, p = case
+    _cover, cyl, cons, _simplices = _cylinder(name)
+    assume(cyl.check_membership(p))
+    got = full_cylinder_retraction(cyl, cons, p, n_steps=n_steps)
+    assert not [stage for stage in got.stages if "points" in vars(stage)]
+    want = oracles.full_cylinder_retraction(cyl, cons, p, n_steps=n_steps)
+    assert _dump(got.to_json()) == _dump(want.to_json())
+
+
 @given(cylinder_points(min_vertices=2),
        st.lists(st.one_of(st.sampled_from([i / 16 for i in range(17)]),
                           st.floats(0.0, 1.0)), min_size=1, max_size=5))

@@ -8,6 +8,7 @@ below) from their center, ties in distance, coordinates that reach the wall
 together, heights 0 and L, points on a proper face and points in no chart
 ball."""
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -135,6 +136,48 @@ def test_projection_kernel_zeroes_every_coordinate_that_hits_the_wall(row):
     want, want_u = oracles.project_row(row, 5.0, L)
     assert _bits(got) == _bits(want) and _bits(u) == _bits(want_u)
     assert (got[row == row.min()] == 0.0).all() and u > 0.0
+
+
+@st.composite
+def full_rows(draw):
+    """Sorted labels of k = 2 to 6 vertices and a point carried by all of
+    them: Dirichlet weights, small integer weights (so that coordinates tie),
+    the barycenter (every lambda is inf) or one of two rows whose low
+    coordinates reach the wall together."""
+    kind = draw(st.sampled_from(["dirichlet", "integers", "barycenter", "wall ties"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 6))
+    if kind == "dirichlet":
+        row = rng.dirichlet(np.ones(k))
+    elif kind == "integers":
+        row = rng.integers(1, 4, size=k).astype(float)
+        row /= row.sum()
+    elif kind == "barycenter":
+        row = np.full(k, 1.0 / k)
+    else:
+        row = draw(st.sampled_from([np.array([1.0, 1.0, 35.0]) / 37.0,
+                                    np.array([1.0, 1.0, 8.0, 8.0]) / 18.0]))
+    sigma = tuple(sorted(rng.choice(12, size=len(row), replace=False).tolist()))
+    return sigma, BarycentricPoint(dict(zip(sigma, row.tolist())))
+
+
+@given(full_rows(), st.sampled_from([L, 6.5, 12.0]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_radial_projection_is_the_kernel_row_in_floats(case, height, data):
+    sigma, x = case
+    assume(x.support == frozenset(sigma))
+    t = data.draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, math.nextafter(height, 0.0),
+                                             height]),
+                            st.floats(0.0, height)))
+    got, u = radial_projection(sigma, x, t, height)
+    (row,), (want_u,) = _project(np.array([[x[v] for v in sigma]]), t, height)
+    assert _bits(u) == _bits(want_u)
+    if t == 0.0:  # the base slice is fixed without the kernel
+        assert got is x
+    else:
+        want = BarycentricPoint(dict(zip(sigma, row.tolist())))
+        assert list(got.weights) == list(want.weights)
+        assert _bits(list(got.weights.values())) == _bits(list(want.weights.values()))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

@@ -287,3 +287,56 @@ def test_measured_lipschitz_data_finite():
     assert lip > 0.0 and math.isfinite(lip)
     assert flow >= 1.0
     assert 0.0 < c < 10.0
+
+
+def _edge_case():
+    """The three-arc cover, a contraction of one of its edges, the edge and a
+    member of its intersection."""
+    cov = three_arc_cover()
+    con, rec = _one_contraction(cov)
+    return cov, con, tuple(sorted(rec.indices)), min(rec.members)
+
+
+@pytest.mark.parametrize("n_steps", [0, -1, 2.5])
+def test_retraction_grids_need_a_positive_integer_step_count(n_steps):
+    # 0, -1 and 2.5 would divide by zero, index an empty grid and fail in range
+    cov, con, _sigma, _x = _edge_case()
+    cyl = CylinderSpace(cov)
+    p = CylinderPoint(cyl.tau_embed(4).theta, ConePoint(4, 1.0))
+    message = rf"^n_steps must be a positive integer, got {n_steps}$"
+    with pytest.raises(MetricError, match=message):
+        full_cylinder_retraction(cyl, build_contractions(cov, cyl.L), p, n_steps=n_steps)
+    with pytest.raises(MetricError, match=message):
+        measure_retraction_lipschitz(con, cov.space, 7.0, n_steps=n_steps, samples=10)
+
+
+@pytest.mark.parametrize("s", [1.5, -0.5, math.nan])
+def test_homotopies_reject_a_parameter_outside_the_unit_interval(s):
+    # homotopy_F at s = 1.5 would lift a point at height 3 to 9, past the apex
+    cov, con, sigma, x = _edge_case()
+    theta = BarycentricPoint({j: 0.5 for j in sigma})
+    p = ConePoint(x, 3.0)
+    message = rf"^homotopy parameter {s} outside \[0, 1\]$"
+    with pytest.raises(MetricError, match=message):
+        homotopy_F(CylinderPoint(theta, p), s, 7.0)
+    with pytest.raises(MetricError, match=message):
+        homotopy_H(PartitionOfUnity(cov), theta, x, s)
+    with pytest.raises(MetricError, match=message):
+        cone_retraction_phi(con, p, s)
+    with pytest.raises(MetricError, match=message):
+        simplexwise_retraction(sigma, con, theta, p, s, 7.0)
+
+
+@pytest.mark.parametrize("t", [-1.0, 8.0, math.nan])
+def test_cone_retraction_rejects_a_height_outside_the_cone(t):
+    # at s = 0.5 the heights -1 and 8 would land at -0.75 and 6.0
+    _cov, con, _sigma, x = _edge_case()
+    with pytest.raises(MetricError, match=rf"^height {t} outside \[0, 7.0\]$"):
+        cone_retraction_phi(con, ConePoint(x, t), 0.5)
+
+
+def test_contraction_rejects_a_time_that_is_not_a_number():
+    _cov, con, _sigma, _x = _edge_case()
+    for x in sorted(con.members):
+        with pytest.raises(MetricError, match=r"^contraction time nan is not a number$"):
+            con(x, math.nan)

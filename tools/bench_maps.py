@@ -6,17 +6,20 @@ octahedral cover, ``CylinderSpace``, ``build_contractions``), the 3,000
 circle pair, the cover lift plus ``homotopy_equivalence_via_nerves``, the
 validation of the strained grid's 445 x 445 distance matrix
 (``FiniteMetricSpace``, whose triangle check is the cubic part) and the
-chart gluing on it (atlas, ``glue_maps``, ``glue_homotopies``).  Each stage
-reports its median wall time (``time.perf_counter``) over ``PASSES`` passes
-and the process's peak RSS after its first pass (``getrusage``).  The
+chart gluing on it (atlas, ``glue_maps``, ``glue_homotopies``).  A run
+times each stage (``time.perf_counter``) in each of ``PASSES`` passes and
+reads the process's peak RSS after its first pass (``getrusage``).  The
 workload's own set-up, which builds the retraction blend grids, runs before
-any timing.  Every tree runs in a fresh process.
+any timing.  Every run is a fresh process.
 
     python3 tools/bench_maps.py --parent-src PARENT/src --out BENCH_maps.json
 
-measures the nervekit under PARENT/src against this checkout's ``src/`` and
-writes both into ``--out``.  ``--stage SRC`` runs one side and prints its
-JSON line.
+measures the nervekit under PARENT/src against this checkout's ``src/`` in
+``ROUNDS`` rounds, the trees taking turns to go first, so that the
+machine's drift over the rounds falls on both.  ``--out`` gets every run
+and, per side and stage, the median and quartiles of all its pass times and
+of its peak RSS.  ``--stage SRC`` runs one side once and prints its JSON
+line.
 """
 import argparse
 import json
@@ -30,7 +33,7 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.join(HERE, os.pardir)
-SEED, PASSES = 1, 5
+SEED, PASSES, ROUNDS = 1, 5, 6
 
 
 def _rss_mb() -> float:
@@ -113,6 +116,12 @@ def stage(src: str) -> dict:
             "gh_bracket": list(bracket)}
 
 
+def summary(values) -> dict:
+    """Median and inclusive quartiles."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent-src", help="src/ directory of the parent checkout")
@@ -124,11 +133,22 @@ def main() -> int:
         return 0
     if not (args.parent_src and args.out):
         p.error("--parent-src and --out are required")
+    sides = {"parent": args.parent_src, "change": os.path.join(ROOT, "src")}
+    runs = {side: [] for side in sides}
+    order = list(sides)
+    for i in range(ROUNDS):
+        for side in order[::-1] if i % 2 else order:
+            src = os.path.abspath(sides[side])
+            run = subprocess.run([sys.executable, __file__, "--stage", src],
+                                 check=True, capture_output=True, text=True)
+            runs[side].append(json.loads(run.stdout.splitlines()[-1]))
     result = {}
-    for side, src in (("parent", args.parent_src), ("change", os.path.join(ROOT, "src"))):
-        run = subprocess.run([sys.executable, __file__, "--stage", os.path.abspath(src)],
-                             check=True, capture_output=True, text=True)
-        result[side] = json.loads(run.stdout.splitlines()[-1])
+    for side, rs in runs.items():
+        stages = {name: {"s": summary([t for r in rs for t in r["stages"][name]["s_all"]]),
+                         "peak_rss_mb": summary([r["stages"][name]["peak_rss_mb"] for r in rs])}
+                  for name in rs[0]["stages"]}
+        result[side] = {"stages": stages, "peak_rss_mb": summary([r["peak_rss_mb"] for r in rs]),
+                        "runs": rs}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

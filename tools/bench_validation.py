@@ -11,19 +11,23 @@ sha256 of the CLI ``nerve`` output differ from runs of such older trees),
 ``PartitionOfUnity`` and ``nerve_matches_space(scale=0.12, max_dim=3)``.
 Each stage reports its wall time (``time.perf_counter``) and the process's
 peak RSS after it (``getrusage``); the goodness report also its entry
-count and the sha256 of its sorted, indent-2 JSON.  The CLI chain writes the coordinates as JSON and runs
-``cover``, ``nerve`` and ``verify`` on them, each in a fresh process, with
-its wall time, exit code, the peak RSS of the commands so far and the
-sha256 of every file it writes.  Every (tree, input) pair runs in a fresh
-process.  The CLI chain runs ``CLI_RUNS`` times per tree, the trees taking
-turns to go first, so that the machine's drift over the runs falls on both;
-the JSON keeps every run and the median of each command's time.
+count and the sha256 of its sorted, indent-2 JSON.  A CLI chain writes its
+input file and runs ``cover``, ``nerve`` and ``verify`` on it, each in a
+fresh process, with its wall time, exit code, the peak RSS of the commands
+so far and the sha256 of every file it writes.  Its inputs are the
+coordinates as JSON (``cli-coords``) and the ``from_coords`` distance
+matrix as JSON (``cli-json``) and as CSV with ``%.17g`` cells
+(``cli-csv``); the library inputs are ``coords`` and ``dist``.
 
-    python3 tools/bench_validation.py --parent-src PARENT/src --out BENCH_goodness.json
+    python3 tools/bench_validation.py --parent-src PARENT/src --out BENCH_validation.json
 
-measures the nervekit under PARENT/src against this checkout's ``src/`` and
-writes both into ``--out``.  ``--stage SRC INPUT`` runs one side (INPUT is
-coords, dist or cli) and prints its JSON line.
+measures the nervekit under PARENT/src against this checkout's ``src/`` on
+every input in ``ROUNDS`` rounds, the trees taking turns to go first, so
+that the machine's drift over the rounds falls on both.  Every run of a
+tree on an input is a fresh process.  ``--out`` gets every run and, per
+input and side, the median and quartiles of each stage's or command's time,
+of the total and of the peak RSS.  ``--stage SRC INPUT`` runs one side once
+(INPUT is one of ``INPUTS``) and prints its JSON line.
 """
 import argparse
 import hashlib
@@ -39,12 +43,13 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 N = 2000
 RADIUS, SEED, VR_SCALE, MAX_ORDER = 0.7, 1, 0.12, 8
-CLI_RUNS = 3
-CLI = (
-    ("cover", ["space.json", "--radius", str(RADIUS), "--seed", str(SEED),
-               "--max-order", str(MAX_ORDER), "--out", "cover.json", "--report", "report.json"]),
-    ("nerve", ["space.json", "cover.json", "--out", "nerve.json"]),
-    ("verify", ["space.json", "cover.json", "--vr-scale", str(VR_SCALE), "--out", "verify.json"]),
+ROUNDS = 3
+INPUTS = ("coords", "dist", "cli-coords", "cli-json", "cli-csv")
+CLI = (  # each command reads the space file first
+    ("cover", ["--radius", str(RADIUS), "--seed", str(SEED), "--max-order", str(MAX_ORDER),
+               "--out", "cover.json", "--report", "report.json"]),
+    ("nerve", ["cover.json", "--out", "nerve.json"]),
+    ("verify", ["cover.json", "--vr-scale", str(VR_SCALE), "--out", "verify.json"]),
 )
 
 
@@ -56,20 +61,29 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def cli_chain(src: str) -> dict:
-    """The CLI commands in turn on the coordinates JSON, in a temporary
-    directory with relative paths, so that the reports' bytes compare."""
+def cli_chain(src: str, kind: str) -> dict:
+    """The CLI commands in turn on one input file, in a temporary directory
+    with relative paths, so that the reports' bytes compare."""
     sys.path.insert(0, src)
+    from nervekit.metric import FiniteMetricSpace
     from nervekit.samples import sphere_coords
 
     out = {"commands": {}, "sha256": {}}
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    space = "space.csv" if kind == "cli-csv" else "space.json"
     with tempfile.TemporaryDirectory() as tmp:
-        with open(os.path.join(tmp, "space.json"), "w") as fh:
-            json.dump({"coords": sphere_coords(N).tolist()}, fh)
+        with open(os.path.join(tmp, space), "w") as fh:
+            coords = sphere_coords(N)
+            if kind == "cli-coords":
+                json.dump({"coords": coords.tolist()}, fh)
+            elif kind == "cli-json":
+                json.dump({"dist": FiniteMetricSpace.from_coords(coords).dist.tolist()}, fh)
+            else:
+                fh.writelines(",".join("%.17g" % v for v in row) + "\n"
+                              for row in FiniteMetricSpace.from_coords(coords).dist.tolist())
         for name, argv in CLI:
             t0 = time.perf_counter()
-            run = subprocess.run([sys.executable, "-m", "nervekit.cli", name, *argv],
+            run = subprocess.run([sys.executable, "-m", "nervekit.cli", name, space, *argv],
                                  cwd=tmp, env=env, capture_output=True)
             rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
             out["commands"][name] = {"s": round(time.perf_counter() - t0, 3),
@@ -78,12 +92,13 @@ def cli_chain(src: str) -> dict:
             with open(os.path.join(tmp, name), "rb") as fh:
                 out["sha256"][name] = _sha(fh.read())
     out["total_s"] = round(sum(c["s"] for c in out["commands"].values()), 3)
+    out["peak_rss_mb"] = out["commands"][CLI[-1][0]]["peak_rss_mb"]
     return out
 
 
 def stage(src: str, kind: str) -> dict:
-    if kind == "cli":
-        return cli_chain(src)
+    if kind.startswith("cli"):
+        return cli_chain(src, kind)
     sys.path.insert(0, src)
     import numpy as np
 
@@ -114,7 +129,7 @@ def stage(src: str, kind: str) -> dict:
     cover = timed("build_ball_cover", lambda: build_ball_cover(space, RADIUS, seed=SEED))
     timed("intersections", lambda: intersections(cover, MAX_ORDER))
     goodness = timed("goodness_report", lambda: goodness_report(cover, max_order=MAX_ORDER))
-    args = cli.build_parser().parse_args([CLI[0][0], *CLI[0][1]])
+    args = cli.build_parser().parse_args([CLI[0][0], "space.json", *CLI[0][1]])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
         timed("report_write", lambda: cli._emit(goodness.to_json(), path, args))
@@ -141,12 +156,19 @@ def _run(src: str, kind: str) -> dict:
     return json.loads(run.stdout.splitlines()[-1])
 
 
-def _medians(runs: list) -> dict:
-    """The median over CLI chain runs of each command's time and of the
-    total."""
-    out = {name: statistics.median(r["commands"][name]["s"] for r in runs)
-           for name, _argv in CLI}
-    out["total_s"] = statistics.median(r["total_s"] for r in runs)
+def summary(values) -> dict:
+    """Median and inclusive quartiles."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def _summaries(runs: list) -> dict:
+    """Over the runs of one side on one input: the median and quartiles of
+    each stage's or command's time, of the total and of the peak RSS."""
+    parts = "stages" if "stages" in runs[0] else "commands"
+    out = {name: summary([r[parts][name]["s"] for r in runs]) for name in runs[0][parts]}
+    out["total_s"] = summary([r["total_s"] for r in runs])
+    out["peak_rss_mb"] = summary([r["peak_rss_mb"] for r in runs])
     return out
 
 
@@ -162,16 +184,14 @@ def main() -> int:
     if not (args.parent_src and args.out):
         p.error("--parent-src and --out are required")
     sides = {"parent": args.parent_src, "change": os.path.join(HERE, os.pardir, "src")}
-    result = {}
-    for kind in ("coords", "dist"):
-        for side, src in sides.items():
-            result.setdefault(kind, {})[side] = _run(src, kind)
-    runs = {side: [] for side in sides}
+    runs = {kind: {side: [] for side in sides} for kind in INPUTS}
     order = list(sides)
-    for i in range(CLI_RUNS):
-        for side in order[::-1] if i % 2 else order:
-            runs[side].append(_run(sides[side], "cli"))
-    result["cli"] = {side: {"runs": r, "median": _medians(r)} for side, r in runs.items()}
+    for i in range(ROUNDS):
+        for kind in INPUTS:
+            for side in order[::-1] if i % 2 else order:
+                runs[kind][side].append(_run(sides[side], kind))
+    result = {kind: {side: {"summary": _summaries(r), "runs": r} for side, r in by_side.items()}
+              for kind, by_side in runs.items()}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
