@@ -8,14 +8,16 @@ mismatch, 2 validation or usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import operator
 import sys
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import __version__
+from . import __version__, metric
 from .cover import Cover, CoverError, build_ball_cover, goodness_report
 from .homology import nerve_matches_space
 from .metric import (FiniteMetricSpace, MetricError, PointMap,
@@ -35,6 +37,22 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
+def _float(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == math.inf:
+        return "Infinity"
+    if o == -math.inf:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+# the values ``_column`` writes inline, by exact type
+_INLINE = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
+           bool: {True: "true", False: "false"}.__getitem__,
+           type(None): {None: "null"}.__getitem__}
+
+
 def _dumps(o, nl: str = "\n") -> str:
     """``json.dumps(o, sort_keys=True, indent=2)``, byte for byte, for a
     value whose closing bracket goes after nl.
@@ -42,7 +60,8 @@ def _dumps(o, nl: str = "\n") -> str:
     With an indent, json runs its pure-Python encoder, a generator per
     container; this is one recursion that returns strings, with json's type
     order, key coercion and errors (a circular value recurses until
-    ``RecursionError`` instead of json's ``ValueError``)."""
+    ``RecursionError`` instead of json's ``ValueError``).  A list whose
+    first item is a dict with str keys goes through ``_rows``."""
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None:
@@ -54,19 +73,15 @@ def _dumps(o, nl: str = "\n") -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
+        return _float(o)
     inner = nl + "  "
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
         if all(type(v) is int for v in o):
             parts = map(int.__repr__, o)
+        elif type(o[0]) is dict and o[0] and all(type(k) is str for k in o[0]):
+            parts = _rows(o, inner)
         else:
             parts = [_dumps(v, inner) for v in o]
         return "[" + inner + ("," + inner).join(parts) + nl + "]"
@@ -77,6 +92,50 @@ def _dumps(o, nl: str = "\n") -> str:
                  for k, v in sorted(o.items())]
         return "{" + inner + ("," + inner).join(parts) + nl + "}"
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _rows(rows, nl: str) -> list:
+    """``_dumps`` of each item of rows, whose first item is a dict with str
+    keys, after nl.  The dicts with the first one's keys are written through
+    one template built from its sorted keys, filled a column at a time by
+    ``_column``, in blocks of rows whose strings take about ``BUDGET`` bytes
+    (some 128 per value); other items go through ``_dumps``.  Where a value
+    raises, everything goes through ``_dumps``, which raises for json's
+    first bad value in row order."""
+    keys = sorted(rows[0])
+    inner = nl + "  "
+    template = "{" + ",".join(inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                              for k in keys) + nl + "}"
+    shared = rows[0].keys()
+    fits = [type(row) is dict and row.keys() == shared for row in rows]
+    picked = [row for row, fit in zip(rows, fits) if fit]
+    step = max(1, metric.BUDGET // (128 * len(keys)))  # strings of about BUDGET bytes
+    filled = []
+    try:
+        for a in range(0, len(picked), step):
+            block = picked[a:a + step]
+            columns = [_column(list(map(operator.itemgetter(k), block)), inner) for k in keys]
+            filled += map(template.__mod__, zip(*columns))
+        filled = iter(filled)
+        return [next(filled) if fit else _dumps(row, nl) for row, fit in zip(rows, fits)]
+    except (TypeError, ValueError):
+        return [_dumps(row, nl) for row in rows]
+
+
+def _column(values: list, nl: str) -> list:
+    """``_dumps`` of each of values after nl: inline when all of them are of
+    one exact type among bool, int, float, str and None, or are nonempty
+    lists of exact ints."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _INLINE:
+        return list(map(_INLINE[kind], values))
+    if (kind is list and all(values)
+            and set(map(type, itertools.chain.from_iterable(values))) == {int}):
+        inner = nl + "  "
+        return ["[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]"
+                for v in values]
+    return [_dumps(v, nl) for v in values]
 
 
 def _emit(obj: dict, path: str, args: argparse.Namespace):

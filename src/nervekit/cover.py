@@ -10,7 +10,8 @@ from functools import cached_property
 import numpy as np
 
 from .complex import _clique_levels, _row_masks, _unpack
-from .metric import METRIC_TOL, FiniteMetricSpace, _check_points, _nn_spacing
+from . import metric
+from .metric import METRIC_TOL, FiniteMetricSpace, _check_points, _nn_spacings
 
 BETWEEN_TOL = 1e-9
 
@@ -278,21 +279,72 @@ class GoodnessReport:
         }
 
 
-def _star_shaped(space: FiniteMetricSpace, members: frozenset, center: int) -> bool:
-    """Every sample point metrically between a member and the center must be a
-    member itself.
+def _size_chunks(sets: list, cost):
+    """Yield (positions, points) for the member sets of one size at a time,
+    in chunks of as many as fit in ``BUDGET`` at cost(size) bytes each (at
+    least one): their positions in sets, and the G x size array of their
+    sorted members."""
+    groups = {}
+    for i, members in enumerate(sets):
+        groups.setdefault(len(members), []).append(i)
+    for size, positions in groups.items():
+        step = max(1, metric.BUDGET // cost(size))
+        for a in range(0, len(positions), step):
+            chunk = positions[a:a + step]
+            yield chunk, np.array([sorted(sets[i]) for i in chunk])
+
+
+def _stars(dist: np.ndarray, keys: list) -> list:
+    """Whether each (members, center) key is star-shaped: every sample point
+    metrically between a member and the center must be a member itself.
 
     x is between member m and center c when ``fl(d[m, x] + d[x, c]) <= R_m =
     fl(d[m, c] + BETWEEN_TOL)``.  Only columns with ``fl(d[x, c] - METRIC_TOL)
     <= max_m R_m`` are tested, and they hold every such x: entries are at
     least -METRIC_TOL and rounding is monotone, so ``fl(d[x, c] - METRIC_TOL)
-    <= fl(d[m, x] + d[x, c]) <= R_m``."""
-    idx = np.array(sorted(members))
-    to_center = space.dist[center]  # d[x, c]: the stored matrix is exactly symmetric
-    reach = to_center[idx] + BETWEEN_TOL
-    near = np.flatnonzero(to_center - METRIC_TOL <= reach.max())
-    between = space.dist[idx[:, None], near] + to_center[near] <= reach[:, None]
-    return set(near[between.any(axis=0)].tolist()) <= members
+    <= fl(d[m, x] + d[x, c]) <= R_m``.  Keys of one size go together, each
+    chunk over its (key, tested non-member column) pairs."""
+    n = len(dist)
+    out = np.ones(len(keys), dtype=bool)
+    for positions, pts in _size_chunks([members for members, _c in keys],
+                                       lambda size: 8 * n * size):
+        rows = np.arange(len(pts))[:, None]
+        # d[c, x] = d[x, c]: the stored matrix is exactly symmetric
+        to_center = dist[[keys[i][1] for i in positions]]
+        reach = to_center[rows, pts] + BETWEEN_TOL
+        tested = to_center - METRIC_TOL <= reach.max(axis=1, keepdims=True)
+        tested[rows, pts] = False  # a member is never a violation
+        key, x = np.nonzero(tested)
+        between = dist[pts[key], x[:, None]] + to_center[key, x][:, None] <= reach[key]
+        out[np.array(positions)[key[between.any(axis=1)]]] = False
+    return out.tolist()
+
+
+def _star_shaped(space: FiniteMetricSpace, members: frozenset, center: int) -> bool:
+    """The star check of ``_stars`` for one key."""
+    return _stars(space.dist, [(members, center)])[0]
+
+
+def _proxies(dist: np.ndarray, sets: list) -> list:
+    """(proxy scale, Betti ranks) of each member set: twice its largest
+    nearest-neighbour distance (1.0 for one member) and ``_proxy_betti`` of
+    its principal submatrix at that scale, a chunk at a time, from one
+    ``np.packbits`` of every closed neighbourhood in it.  A scale that is
+    not positive is returned with ranks None."""
+    from .homology import _collapsed_betti
+
+    out = [None] * len(sets)
+    for positions, pts in _size_chunks(sets, lambda size: 8 * size * size):
+        size = pts.shape[1]
+        # principal submatrices: exactly symmetric, zero diagonal, >= -METRIC_TOL
+        sub = dist[pts[:, :, None], pts[:, None, :]]
+        scales = 2.0 * _nn_spacings(sub) if size > 1 else np.ones(len(pts))
+        good = scales > 0
+        nbr = _row_masks((sub[good] <= scales[good, None, None]).reshape(-1, size))
+        ranks = (_collapsed_betti(nbr[a:a + size]) for a in range(0, len(nbr), size))
+        for i, scale, ok in zip(positions, scales.tolist(), good.tolist()):
+            out[i] = (scale, next(ranks) if ok else None)
+    return out
 
 
 def goodness_report(cover: Cover, max_order: int = 8) -> GoodnessReport:
@@ -300,26 +352,31 @@ def goodness_report(cover: Cover, max_order: int = 8) -> GoodnessReport:
 
     Distinct index sets often meet in the same members.  The proxy scale and
     Betti numbers depend only on the members, and star-shapedness also on
-    the center, so each is computed once per distinct key.
+    the center, so each is computed once per distinct key, the keys of one
+    size in ``BUDGET`` chunks.  Raises a ``CoverError`` for the first
+    intersection whose members all coincide with others, which has no
+    proxy scale.
     """
-    from .homology import _proxy_betti
-
-    proxies = {}  # members -> (proxy scale, Betti ranks, trivial)
-    stars = {}  # (members, center) -> star-shaped
+    dist = cover.space.dist
+    records = [record for level in _records(cover, max_order) for record in level]
+    first = {}  # members -> the index tuple of their first record
+    for idx, members, _center in records:
+        first.setdefault(members, idx)
+    proxies = {}
+    for (members, idx), (scale, ranks) in zip(first.items(), _proxies(dist, list(first))):
+        if ranks is None:
+            a, *rest = sorted(members)
+            b = min(rest, key=lambda x: dist[a, x])
+            raise CoverError(f"intersection of sets {list(idx)} has no goodness proxy scale: "
+                             f"each of its members coincides with another, as points {a} "
+                             f"and {b} do (distance {float(dist[a, b])!r})")
+        proxies[members] = (scale, ranks, ranks[0] == 1 and not any(ranks[1:]))
+    keys = list(dict.fromkeys((members, center) for _idx, members, center in records))
+    stars = dict(zip(keys, _stars(dist, keys)))
     entries = []
-    for level in _records(cover, max_order):
-        for idx, members, center in level:
-            if members not in proxies:
-                pts = np.array(sorted(members))
-                # a principal submatrix: exactly symmetric, zero diagonal, >= -METRIC_TOL
-                sub = cover.space.dist[pts[:, None], pts]
-                scale = 2.0 * _nn_spacing(sub) if len(pts) > 1 else 1.0
-                ranks = _proxy_betti(sub, scale)
-                proxies[members] = (scale, ranks, ranks[0] == 1 and not any(ranks[1:]))
-            scale, ranks, trivial = proxies[members]
-            key = (members, center)
-            if key not in stars:
-                stars[key] = _star_shaped(cover.space, members, center)
-            entries.append(GoodnessEntry(indices=idx, star_shaped=stars[key], betti=ranks,
-                                         proxy_scale=scale, contractible_proxy=trivial))
+    for idx, members, center in records:
+        scale, ranks, trivial = proxies[members]
+        entries.append(GoodnessEntry(indices=idx, star_shaped=stars[members, center],
+                                     betti=ranks, proxy_scale=scale,
+                                     contractible_proxy=trivial))
     return GoodnessReport(tuple(entries))

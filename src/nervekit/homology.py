@@ -101,15 +101,21 @@ def vr_complex(space: FiniteMetricSpace, scale: float, max_dim: int = 3) -> Simp
 
 def _proxy_betti(dist: np.ndarray, scale: float) -> tuple:
     """``betti(vr_complex(FiniteMetricSpace(dist), scale, 3), 2).ranks`` of an
-    exactly symmetric matrix with zero diagonal, with no complex built.
-    Deleting a vertex v whose closed neighbourhood N[v] among the alive
-    vertices lies in N[w] of another alive w is a strong collapse, which
-    keeps the homotopy type of the flag complex (Barmak & Minian, DCG 2012),
-    so the core left has the same b_0..b_2.  Only the length, min(2, dim) + 1,
-    comes from the whole complex: dim >= 2 when an edge has a common neighbour."""
+    exactly symmetric matrix with zero diagonal, with no complex built: the
+    ``_collapsed_betti`` of its closed neighbourhoods."""
     if not scale > 0:
         raise HomologyError("scale must be positive")
-    nbr = _row_masks(dist <= scale)
+    return _collapsed_betti(_row_masks(dist <= scale))
+
+
+def _collapsed_betti(nbr: list) -> tuple:
+    """The proxy Betti numbers of the flag complex whose closed
+    neighbourhoods N[v] are the bitsets nbr.  Deleting a vertex v whose N[v]
+    among the alive vertices lies in N[w] of another alive w is a strong
+    collapse, which keeps the homotopy type of the flag complex (Barmak &
+    Minian, DCG 2012), so the core left has the same b_0..b_2; its cliques
+    come from the same bitsets.  Only the length, min(2, dim) + 1, comes
+    from the whole complex: dim >= 2 when an edge has a common neighbour."""
     length = 1 + any(mask.bit_count() > 1 for mask in nbr) + any(  # edge, triangle
         (mask & nbr[bit.bit_length() - 1]).bit_count() > 2
         for v, mask in enumerate(nbr) for bit in _bits(mask ^ 1 << v))
@@ -127,8 +133,12 @@ def _proxy_betti(dist: np.ndarray, scale: float) -> tuple:
                 todo |= own ^ bit  # only the neighbours' neighbourhoods shrank
                 break
             rest ^= w
-    core = [bit.bit_length() - 1 for bit in _bits(alive)]
-    levels = [[1]] if len(core) == 1 else _flag_levels(dist[np.ix_(core, core)], scale, 3)
+    if alive & alive - 1:  # the core's flag complex: cliques grown by larger vertices
+        later = [mask & alive & -(2 << v) for v, mask in enumerate(nbr)]
+        levels = [[clique for clique, _meet, _common in level] for level in _clique_levels(
+            later, [alive >> v & 1 for v in range(len(nbr))], 4)]
+    else:  # one vertex
+        levels = [[alive]]
     ranks = _reduce(levels, min(2, len(levels) - 1))
     return tuple(ranks) + (0,) * (length - len(ranks))
 

@@ -1,12 +1,14 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ten_line_sets_cover, three_arc_cover
+from nervekit import metric
 from nervekit.cli import _dumps, main
 from nervekit.cover import build_ball_cover
 from nervekit.samples import circle_space, grid_with_strainers
@@ -62,12 +64,48 @@ KEYS = (st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
 REJECTED = st.sampled_from([np.int64(3), {1}, b"x", 1j, object()])
 
 
+ROW_KEYS = st.one_of(st.text(max_size=3), st.sampled_from(["%s", "%", "a%%b", "%(x)s"]))
+
+
+@st.composite
+def _rows(draw, kids):
+    """Lists of dicts with one set of str keys, the report's shape, whose
+    values are kids, nan, inf, numpy floats or lists of ints and bools, in
+    columns of one kind or mixed; some rows deviate: a key missing, an
+    extra str or non-str key, or an item that is no dict."""
+    keys = draw(st.lists(ROW_KEYS, min_size=1, max_size=5, unique=True))
+    cell = st.one_of(kids, st.sampled_from([math.nan, math.inf, -math.inf]),
+                     st.floats().map(np.float64), st.lists(st.integers(-2**70, 2**70)),
+                     st.lists(st.one_of(st.integers(), st.booleans())))
+    # a column of one kind of value, or of any
+    column = {k: draw(st.sampled_from([
+        cell, st.booleans(), st.integers(), st.floats(), st.text(), st.none(),
+        st.floats().map(np.float64), st.lists(st.integers()),
+        st.lists(st.integers(), min_size=1),
+        st.lists(st.one_of(st.integers(), st.booleans()), min_size=1)])) for k in keys}
+    rows = draw(st.lists(st.fixed_dictionaries(column), min_size=1, max_size=6))
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3, unique=True)):
+        row = dict(rows[i])
+        kind = draw(st.sampled_from(["missing", "extra", "non-str", "item"]))
+        if kind == "missing":
+            del row[draw(st.sampled_from(keys))]
+        elif kind == "extra":
+            row[draw(ROW_KEYS)] = draw(cell)
+        elif kind == "non-str":
+            row[draw(st.one_of(*KEYS[1:]))] = draw(cell)
+        else:
+            row = draw(cell)
+        rows[i] = row
+    return rows
+
+
 def _values(leaves):
     return st.recursive(leaves, lambda kids: st.one_of(
         st.lists(kids), st.lists(kids).map(tuple),
         *(st.dictionaries(k, kids) for k in KEYS),
         st.dictionaries(st.one_of(*KEYS), kids),
         st.dictionaries(st.tuples(st.integers()), kids, max_size=1),
+        _rows(kids), _rows(kids).map(tuple),
     ), max_leaves=25)
 
 
@@ -91,6 +129,22 @@ def test_dumps_equals_json_dumps(value):
 @given(_values(st.one_of(SCALARS, REJECTED)))
 @settings(max_examples=150, deadline=None)
 def test_dumps_rejects_what_json_rejects(value):
+    _same_as_json(value)
+
+
+# BUDGET / 2**12 is 64 bytes: one row per block
+@pytest.mark.parametrize("divisor", [1, 2**12])
+@given(_rows(_values(SCALARS)))
+@settings(max_examples=100, deadline=None)
+def test_dumps_writes_rows_as_json_dumps(divisor, value):
+    with mock.patch.object(metric, "BUDGET", metric.BUDGET // divisor):
+        _same_as_json(value)
+
+
+@given(_rows(_values(st.one_of(SCALARS, REJECTED))))
+@example([{"a": 1, "b": b"x"}, {"a": 1j, "b": 2}])  # json names the bytes in row 0
+@settings(max_examples=100, deadline=None)
+def test_dumps_rejects_in_rows_what_json_rejects(value):
     _same_as_json(value)
 
 
@@ -327,3 +381,18 @@ def test_verify_rejects_a_dimension_that_compares_nothing(tmp_path, capsys):
     assert main(argv + ["--max-dim", "1"]) == 1
     rep = json.loads(report_path.read_text())
     assert (rep["nerve_betti"], rep["space_betti"], rep["pass"]) == ([1], [12], False)
+
+
+def test_cover_names_an_intersection_of_coincident_points(tmp_path, capsys):
+    # points 0 and 1 coincide, and no other point is within the radius of
+    # them, so their set has nearest-neighbour spacing 0 and no proxy scale
+    space_path = tmp_path / "s.json"
+    space_path.write_text(json.dumps({"coords": [[0, 0], [0, 0], [5, 0], [10, 0]]}))
+    report_path = tmp_path / "r.json"
+    code = main(["cover", str(space_path), "--radius", "1",
+                 "--out", str(tmp_path / "c.json"), "--report", str(report_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "intersection of sets [1] has no goodness proxy scale: each of its members "
+        "coincides with another, as points 0 and 1 do (distance 0.0)\n")
+    assert not report_path.exists() and not (tmp_path / "c.json").exists()

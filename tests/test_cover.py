@@ -8,6 +8,7 @@ import oracles
 from conftest import octahedral_cover, three_arc_cover
 from nervekit.cover import (Cover, CoverError, build_ball_cover,
                             goodness_report, greedy_net, intersections)
+from nervekit.metric import FiniteMetricSpace
 from nervekit.samples import circle_space, circle_spacing, line_space
 
 
@@ -175,3 +176,22 @@ def test_membership_rejects_point_outside_the_space(bad):
 def test_build_ball_cover_rejects_a_radius_that_is_not_positive(radius):
     with pytest.raises(CoverError, match="^radius must be positive$"):
         build_ball_cover(line_space(4), radius)
+
+
+def test_goodness_report_rejects_an_intersection_of_coincident_points():
+    # sets 1 and 2 are pairs of copies; the first of them in record order is named
+    sp = FiniteMetricSpace.from_coords([[0.0, 0.0], [3.0, 0.0], [3.0, 0.0], [0.0, 0.0],
+                                        [6.0, 0.0]])
+    cov = Cover(sp, (frozenset(range(5)), frozenset({1, 2}), frozenset({0, 3})), (0, 1, 3))
+    with pytest.raises(CoverError, match=r"^intersection of sets \[1\] has no goodness "
+                       r"proxy scale: each of its members coincides with another, as "
+                       r"points 1 and 2 do \(distance 0\.0\)$"):
+        goodness_report(cov)
+
+
+def test_goodness_report_keeps_sets_with_some_coincident_points():
+    # the set {0, 1, 2} has spacing 0.5 from point 2; {1, 2} alone would have 0
+    sp = FiniteMetricSpace.from_coords([[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]])
+    report = goodness_report(Cover(sp, (frozenset({0, 1, 2}),), (0,)))
+    assert [(e.indices, e.proxy_scale, e.betti, e.ok) for e in report.entries] == [
+        ((0,), 1.0, (1, 0, 0), True)]

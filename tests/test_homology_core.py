@@ -1,6 +1,8 @@
 """The sparse GF(2) homology core, the clique-expansion Vietoris-Rips
 complex, the once-per-member-set goodness report and the tree walk against
 the oracles in ``oracles.py``."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from nervekit.complex import SimplicialComplex
 from nervekit.cover import build_ball_cover, goodness_report
 from nervekit.homology import (HomologyError, betti, gf2_rank, nerve_matches_space,
                                vr_complex)
+from nervekit import metric
 from nervekit.metric import FiniteMetricSpace
 from nervekit.samples import circle_space, tree_space
 
@@ -109,6 +112,24 @@ def test_goodness_report_matches_oracle_on_ball_covers(seed, n, dim, radius):
     cov = build_ball_cover(space, radius, seed=seed)
     assert (goodness_report(cov, 4).to_json()
             == oracles.goodness_report(cov, 4).to_json())
+
+
+# BUDGET / 2**15 is 8 bytes: every chunk holds one key
+@pytest.mark.parametrize("divisor", [1, 2**9, 2**15])
+@given(st.integers(0, 2**32 - 1), st.integers(15, 40), st.integers(2, 3),
+       st.floats(0.35, 0.8), st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_goodness_report_batches_match_the_oracle(divisor, seed, n, dim, radius, l1):
+    # many member-set sizes in one report, chunked by a full or divided
+    # budget; under the l1 norm some intersections are not star-shaped
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0.0, 1.0, size=(n, dim))
+    space = (FiniteMetricSpace(np.abs(coords[:, None] - coords).sum(axis=2)) if l1
+             else FiniteMetricSpace.from_coords(coords))
+    cov = build_ball_cover(space, radius, seed=seed)
+    with mock.patch.object(metric, "BUDGET", metric.BUDGET // divisor):
+        got = goodness_report(cov, 8).to_json()
+    assert got == oracles.goodness_report(cov, 8).to_json()
 
 
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1))

@@ -22,9 +22,12 @@ with sha256:
 - ``sphere-goodness``, seeds 1 and 2: the bytes of the CLI ``cover`` report
 - CLI ``cover``, ``nerve``, ``verify``, ``gh``, ``stability`` and ``glue``
   on well-formed inputs, accepted and rejected: exit code, stderr and the
-  bytes of every file written.  ``nerve-whole`` is ``nerve`` without
-  ``--max-dim`` on ten whole-space sets of a 12-point line, whose whole
-  nerve is the 9-simplex and whose 8-skeleton is its boundary
+  bytes of every file written.  ``cover-sphere`` is ``cover`` on
+  ``sphere_coords(1000)`` at r = 0.7, seed 1, whose report has 32
+  non-contractible entries of 47,679 and exits 1.  ``nerve-whole`` is
+  ``nerve`` without ``--max-dim`` on ten whole-space sets of a 12-point
+  line, whose whole nerve is the 9-simplex and whose 8-skeleton is its
+  boundary
 - ``metric/edge``: the stored matrix or the error message of validating two
   matrices at the tolerance edge, one whose negative diagonal makes its
   stored (0,1,0) triangle fail and one skewed triangle whose stored defect
@@ -202,6 +205,7 @@ def _cli_inputs(workdir: str) -> dict:
     write("octa-cover.json", nk.cover.Cover(
         octa, tuple(octa.ball(c, 1.1) for c in range(6)), tuple(range(6))).to_json())
     paths["mesh"] = arcs.mesh()
+    write("sphere.json", {"coords": nk.samples.sphere_coords(1000).tolist()})
     line = nk.samples.line_space(12)
     write("line.json", line.to_json())
     write("line-cover.json", nk.cover.Cover(line, (frozenset(range(12)),) * 10,
@@ -242,6 +246,8 @@ def _cli(workdir: str, out: dict):
         "cover-octa": ["cover", p["octa.json"], "--radius", "1.2", "--seed", "2",
                        "--max-order", "4", "--out", at("out-cover.json"),
                        "--report", at("out-report.json")],
+        "cover-sphere": ["cover", p["sphere.json"], "--radius", "0.7", "--seed", "1",
+                         "--out", at("out-cover.json"), "--report", at("out-report.json")],
         "nerve": ["nerve", p["circle.json"], p["arcs.json"], "--out", at("out-nerve.json")],
         "nerve-octa": ["nerve", p["octa.json"], p["octa-cover.json"], "--max-dim", "2",
                        "--out", at("out-nerve.json")],
