@@ -11,13 +11,12 @@ import argparse
 import itertools
 import json
 import math
-import operator
 import sys
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import __version__, metric
+from . import __version__
 from .cover import Cover, CoverError, build_ball_cover, goodness_report
 from .homology import nerve_matches_space
 from .metric import (FiniteMetricSpace, MetricError, PointMap,
@@ -28,27 +27,9 @@ from .stability import (GluingConfig, build_gluing_atlas, glue_maps,
                         homotopy_equivalence_via_nerves, lift_cover)
 
 
-def _key(k) -> str:
-    """A dict key as json coerces it: a number, bool or None as its value."""
-    if isinstance(k, str):
-        return k
-    if k is None or isinstance(k, (int, float)):
-        return _dumps(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _float(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == math.inf:
-        return "Infinity"
-    if o == -math.inf:
-        return "-Infinity"
-    return float.__repr__(o)
-
-
 # the values ``_column`` writes inline, by exact type
-_INLINE = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
+_INLINE = {str: encode_basestring_ascii, int: int.__repr__,
+           float: lambda o: float.__repr__(o) if math.isfinite(o) else json.dumps(o),
            bool: {True: "true", False: "false"}.__getitem__,
            type(None): {None: "null"}.__getitem__}
 
@@ -57,94 +38,53 @@ def _dumps(o, nl: str = "\n") -> str:
     """``json.dumps(o, sort_keys=True, indent=2)``, byte for byte, for a
     value whose closing bracket goes after nl.
 
-    With an indent, json runs its pure-Python encoder, a generator per
-    container; this is one recursion that returns strings, with json's type
-    order, key coercion and errors (a circular value recurses until
-    ``RecursionError`` instead of json's ``ValueError``).  A list whose
-    first item is a dict with str keys goes through ``_rows``."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float(o)
+    json escapes the newlines inside strings, so its text indents exactly by
+    replacing each newline.  Two shapes skip json's encoder, which runs a
+    generator per container once it indents: a nonempty dict with str keys,
+    written key by key, and a list of such dicts with one set of keys, whose
+    columns ``_column`` all write inline, filled into one row template.
+    Everything else, errors included, is json's (a circular dict with str
+    keys recurses until ``RecursionError`` instead of json's ``ValueError``)."""
     inner = nl + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        if all(type(v) is int for v in o):
-            parts = map(int.__repr__, o)
-        elif type(o[0]) is dict and o[0] and all(type(k) is str for k in o[0]):
-            parts = _rows(o, inner)
-        else:
-            parts = [_dumps(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(parts) + nl + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        parts = [encode_basestring_ascii(_key(k)) + ": " + _dumps(v, inner)
+    if _str_keyed(o):
+        parts = [encode_basestring_ascii(k) + ": " + _dumps(v, inner)
                  for k, v in sorted(o.items())]
         return "{" + inner + ("," + inner).join(parts) + nl + "}"
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    if (type(o) is list and o and _str_keyed(o[0])
+            and all(type(row) is dict and row.keys() == o[0].keys() for row in o)):
+        keys, field = sorted(o[0]), inner + "  "
+        columns = [_column([row[k] for row in o], field) for k in keys]
+        if None not in columns:
+            template = "{" + ",".join(field + encode_basestring_ascii(k).replace("%", "%%")
+                                      + ": %s" for k in keys) + inner + "}"
+            parts = map(template.__mod__, zip(*columns))
+            return "[" + inner + ("," + inner).join(parts) + nl + "]"
+    return json.dumps(o, sort_keys=True, indent=2).replace("\n", nl)
 
 
-def _rows(rows, nl: str) -> list:
-    """``_dumps`` of each item of rows, whose first item is a dict with str
-    keys, after nl.  The dicts with the first one's keys are written through
-    one template built from its sorted keys, filled a column at a time by
-    ``_column``, in blocks of rows whose strings take about ``BUDGET`` bytes
-    (some 128 per value); other items go through ``_dumps``.  Where a value
-    raises, everything goes through ``_dumps``, which raises for json's
-    first bad value in row order."""
-    keys = sorted(rows[0])
-    inner = nl + "  "
-    template = "{" + ",".join(inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-                              for k in keys) + nl + "}"
-    shared = rows[0].keys()
-    fits = [type(row) is dict and row.keys() == shared for row in rows]
-    picked = [row for row, fit in zip(rows, fits) if fit]
-    step = max(1, metric.BUDGET // (128 * len(keys)))  # strings of about BUDGET bytes
-    filled = []
-    try:
-        for a in range(0, len(picked), step):
-            block = picked[a:a + step]
-            columns = [_column(list(map(operator.itemgetter(k), block)), inner) for k in keys]
-            filled += map(template.__mod__, zip(*columns))
-        filled = iter(filled)
-        return [next(filled) if fit else _dumps(row, nl) for row, fit in zip(rows, fits)]
-    except (TypeError, ValueError):
-        return [_dumps(row, nl) for row in rows]
+def _str_keyed(o) -> bool:
+    return type(o) is dict and bool(o) and all(type(k) is str for k in o)
 
 
-def _column(values: list, nl: str) -> list:
-    """``_dumps`` of each of values after nl: inline when all of them are of
-    one exact type among bool, int, float, str and None, or are nonempty
-    lists of exact ints."""
+def _column(values: list, nl: str):
+    """An iterator over values as ``_dumps`` writes each after nl, made as
+    the row template is filled, when all are of one exact type among bool,
+    int, float, str and None, or are nonempty lists of exact ints; else None."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind in _INLINE:
-        return list(map(_INLINE[kind], values))
+        return map(_INLINE[kind], values)
     if (kind is list and all(values)
             and set(map(type, itertools.chain.from_iterable(values))) == {int}):
         inner = nl + "  "
-        return ["[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]"
-                for v in values]
-    return [_dumps(v, nl) for v in values]
+        return ("[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]"
+                for v in values)
+    return None
 
 
 def _emit(obj: dict, path: str, args: argparse.Namespace):
-    obj = dict(obj)
-    obj["config"] = {
-        k: v for k, v in sorted(vars(args).items()) if k != "func"
-    }
-    obj["version"] = __version__
-    text = _dumps(obj)
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    text = _dumps({**obj, "config": config, "version": __version__})
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -215,6 +155,11 @@ def cmd_glue(args) -> int:
     tgt = FiniteMetricSpace.load(args.space_b)
     with open(args.region) as fh:
         region_cfg = json.load(fh)
+    kinds = {list: "an array", dict: "an object", (int, float): "a number"}
+    for key, kind in (("D", list), ("mu", (int, float)), ("deltaR", (int, float)), ("g", dict),
+                      ("source_pairs", list), ("target_pairs", list)):
+        if not (isinstance(region_cfg, dict) and isinstance(region_cfg.get(key), kind)):
+            raise ValueError(f"region JSON needs {key!r}, {kinds[kind]}")
     config = GluingConfig(src, frozenset(region_cfg["D"]), float(region_cfg["mu"]))
     g = {int(k): int(v) for k, v in region_cfg["g"].items()}
     f_img = region_cfg.get("f")

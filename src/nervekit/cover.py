@@ -26,12 +26,12 @@ class Cover:
 
     Sets model open sets of the underlying space; "open" on a finite sample
     means strict-inequality ball membership.  Construction checks that the
-    members are points, that the sets cover, that each center belongs to its
-    set, and (when a multiplicity bound is given) that no point lies in more
-    sets than allowed.  ``member`` is the read-only n x m boolean matrix of
-    point x in set j; the enumeration reads its columns as bitsets,
-    ``_masks``, and the nerve's 1-skeleton, ``_later`` (built on first use).
-    None is a field, so equality and JSON stay about the sets.
+    members and centers are points, that the sets cover, that each center
+    belongs to its set, and (when a multiplicity bound is given) that no
+    point lies in more sets than allowed.  ``member`` is the read-only n x m
+    boolean matrix of point x in set j; the enumeration reads its columns as
+    bitsets, ``_masks``, and the nerve's 1-skeleton, ``_later`` (built on
+    first use).  None is a field, so equality and JSON stay about the sets.
     """
 
     space: FiniteMetricSpace
@@ -43,7 +43,9 @@ class Cover:
     def __post_init__(self):
         sets = tuple(frozenset(s) for s in self.sets)
         object.__setattr__(self, "sets", sets)
-        object.__setattr__(self, "centers", tuple(int(c) for c in self.centers))
+        centers = tuple(self.centers)
+        _check_points(centers, self.space.n, "center", CoverError)
+        object.__setattr__(self, "centers", tuple(map(int, centers)))
         if len(sets) != len(self.centers):
             raise CoverError("need exactly one center per set")
         if self.radius_hint is not None:
@@ -122,12 +124,15 @@ class Cover:
 
     @classmethod
     def from_json(cls, space: FiniteMetricSpace, obj: dict) -> "Cover":
-        return cls(
-            space,
-            tuple(frozenset(s) for s in obj["sets"]),
-            tuple(obj["centers"]),
-            tuple(obj["radius_hint"]) if "radius_hint" in obj else None,
-        )
+        if not isinstance(obj, dict):
+            raise CoverError("cover JSON must be an object")
+        items = {"sets": (list, " of arrays"), "centers": (object, ""),
+                 "radius_hint": ((int, float), " of numbers")}
+        for key, (item, what) in items.items():
+            value = obj.get(key, [])
+            if not (isinstance(value, list) and all(isinstance(v, item) for v in value)):
+                raise CoverError(f"cover JSON {key!r} must be an array{what}")
+        return cls(space, obj["sets"], obj["centers"], obj.get("radius_hint"))
 
     def save(self, path: str):
         with open(path, "w") as fh:

@@ -209,11 +209,11 @@ class FiniteMetricSpace:
     on it, within ``METRIC_TOL``, so every stored matrix validates again.
     The check's n^3 kernel is skipped where it cannot fail: for a matrix of
     ``from_coords`` by ``_rounding_bound``, for others by ``_embeds``.
-    Instances are immutable and safe to share between threads.
+    Instances are immutable and safe to share between threads; two are
+    equal when their stored matrices are.
     """
 
     dist: np.ndarray
-    points: tuple = None
 
     def __post_init__(self):
         certified = type(self.dist) is _Certified
@@ -253,10 +253,12 @@ class FiniteMetricSpace:
                                   f"{avg[i, k]} > {avg[i, j]} + {avg[j, k]}")
         avg.setflags(write=False)
         object.__setattr__(self, "dist", avg)
-        if self.points is None:
-            object.__setattr__(self, "points", tuple(range(n)))
-        elif len(self.points) != n:
-            raise MetricError("points list length does not match matrix size")
+
+    def __eq__(self, other):
+        return isinstance(other, FiniteMetricSpace) and np.array_equal(self.dist, other.dist)
+
+    def __hash__(self):  # equal matrices have equal maxima, as -0.0 == 0.0
+        return hash((self.n, self.diameter()))
 
     @property
     def n(self) -> int:
@@ -292,6 +294,8 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteMetricSpace":
+        if not isinstance(obj, dict):
+            raise MetricError("space JSON must be an object with 'dist' or 'coords'")
         if "coords" in obj:
             return cls.from_coords(obj["coords"])
         if "dist" in obj:
@@ -300,7 +304,7 @@ class FiniteMetricSpace:
             except ValueError:
                 _check_rows(obj["dist"], "dist")
                 raise
-            if "n" in obj and int(obj["n"]) != d.shape[0]:
+            if "n" in obj and obj["n"] != d.shape[0]:
                 raise MetricError("declared n does not match matrix size")
             return cls(d)
         raise MetricError("space JSON needs either 'dist' or 'coords'")

@@ -396,3 +396,30 @@ def test_cover_names_an_intersection_of_coincident_points(tmp_path, capsys):
         "intersection of sets [1] has no goodness proxy scale: each of its members "
         "coincides with another, as points 0 and 1 do (distance 0.0)\n")
     assert not report_path.exists() and not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("name, text, argv, message", [
+    ("c.json", '{"sets": 5, "centers": [0]}', ["nerve", "s.json", "c.json", "--out", "n.json"],
+     "cover JSON 'sets' must be an array of arrays"),
+    ("c.json", '{"sets": 5, "centers": [0]}', ["verify", "s.json", "c.json", "--vr-scale", "1"],
+     "cover JSON 'sets' must be an array of arrays"),
+    ("c.json", '{"sets": 5, "centers": [0]}',
+     ["stability", "s.json", "s.json", "c.json", "--epsilon", "0.1"],
+     "cover JSON 'sets' must be an array of arrays"),
+    ("c.json", '{"sets": [[0]], "centers": [0], "radius_hint": [[1]]}',
+     ["nerve", "s.json", "c.json", "--out", "n.json"],
+     "cover JSON 'radius_hint' must be an array of numbers"),
+    ("r.json", '{"D": 5}', ["glue", "s.json", "s.json", "--region", "r.json"],
+     "region JSON needs 'D', an array"),
+    ("r.json", "[1, 2]", ["glue", "s.json", "s.json", "--region", "r.json"],
+     "region JSON needs 'D', an array"),
+    ("s.json", "5", ["cover", "s.json", "--radius", "1", "--out", "c.json"],
+     "space JSON must be an object with 'dist' or 'coords'"),
+], ids=["nerve", "verify", "stability", "radius-hint", "region-D", "region-list", "space"])
+def test_malformed_json_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                               name, text, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps(circle_space(8).to_json()))
+    (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message + "\n"

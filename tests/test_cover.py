@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,22 @@ def test_cover_requires_center_membership():
     sp = line_space(4)
     with pytest.raises(CoverError, match="not a member"):
         Cover(sp, (frozenset({0, 1}), frozenset({2, 3})), (0, 1))
+
+
+@pytest.mark.parametrize("center", [2.7, "2", True])
+def test_cover_rejects_a_center_that_is_not_a_point_index(center):
+    message = f"center {center!r} is not a point index in [0, 4)"
+    with pytest.raises(CoverError, match=re.escape(message)):
+        Cover(line_space(4), (frozenset({0, 1, 2, 3}),), (center,))
+
+
+def test_covers_on_equal_spaces_are_equal_by_their_sets():
+    sets = (frozenset({0, 1}), frozenset({2, 3}))
+    a, b = Cover(line_space(4), sets, (0, 2)), Cover(line_space(4), sets, (0, 2))
+    assert a.space is not b.space
+    assert a == b and hash(a) == hash(b)
+    assert a != Cover(line_space(4), sets, (1, 2))
+    assert a != Cover(FiniteMetricSpace(2.0 * line_space(4).dist), sets, (0, 2))
 
 
 def test_multiplicity_bound_enforced():

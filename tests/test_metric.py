@@ -190,6 +190,17 @@ def test_json_roundtrip(tmp_path):
     assert np.allclose(back.dist, sp.dist)
 
 
+def test_spaces_are_equal_and_hash_alike_when_their_matrices_are():
+    a, b = circle_space(8), circle_space(8)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != circle_space(9) and a != line_space(8) and a != a.dist
+    assert len({a, b, line_space(8)}) == 2
+    # -0.0 facing -0.0 is stored as -0.0, equal to 0.0
+    z = FiniteMetricSpace(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+    assert z == FiniteMetricSpace(np.zeros((2, 2)))
+    assert hash(z) == hash(FiniteMetricSpace(np.zeros((2, 2))))
+
+
 def test_csv_load(tmp_path):
     path = tmp_path / "space.csv"
     path.write_text("0,1,2\n1,0,1\n2,1,0\n")

@@ -5,6 +5,7 @@ import oracles
 from conftest import (line_pair_cover, octahedral_cover, three_arc_cover,
                       tree_ball_cover)
 from nervekit.cover import Cover, CoverError, build_ball_cover
+from nervekit.metric import FiniteMetricSpace
 from nervekit.nerve import nerve_of
 from nervekit.partition import PartitionOfUnity, estimate_lipschitz
 from nervekit.samples import circle_space, line_space
@@ -108,6 +109,25 @@ def test_estimate_lipschitz_known_maps():
                                 lambda a, b: float(abs(a - b)))
     assert double.value == 2.0
     assert double.mode == "exhaustive"
+
+
+def test_estimate_lipschitz_samples_pairs_above_the_cap():
+    # a line of 12 points with 0 = 1 and 5 = 6, so some drawn pairs coincide
+    coords = [[0.0], [0.0], [1.0], [2.0], [3.0], [4.0], [4.0], [5.0], [6.0], [7.0], [8.0], [9.0]]
+    sp = FiniteMetricSpace.from_coords(coords)
+    images = [3.0 * c[0] + (c[0] % 2) for c in coords]
+
+    def image_dist(a, b):
+        return abs(a - b)
+
+    exact = estimate_lipschitz(sp, images, image_dist)
+    est = estimate_lipschitz(sp, images, image_dist, seed=7, sample_pairs=40, exhaustive_cap=8)
+    assert (exact.mode, est.mode) == ("exhaustive", "sampled(seed=7)")
+    assert est == estimate_lipschitz(sp, images, image_dist, seed=7, sample_pairs=40,
+                                     exhaustive_cap=8)
+    drawn = np.random.default_rng(7).integers(0, sp.n, size=(40, 2))
+    assert est.pairs_checked == sum(i != j and sp.dist[i, j] > 0 for i, j in drawn) > 0
+    assert 0.0 < est.value <= exact.value
 
 
 def test_theta_lipschitz_finite():

@@ -11,8 +11,10 @@ sha256 of the CLI ``nerve`` output differ from runs of such older trees),
 ``PartitionOfUnity`` and ``nerve_matches_space(scale=0.12, max_dim=3)``.
 Each stage reports its wall time (``time.perf_counter``) and the process's
 peak RSS after it (``getrusage``); the goodness report also its entry
-count and the sha256 of its sorted, indent-2 JSON.  A CLI chain writes its
-input file and runs ``cover``, ``nerve`` and ``verify`` on it, each in a
+count and the sha256 of the file that the report write stage wrote, which
+equals the ``report.json`` digest of the ``cli-coords`` and ``cli-json``
+chains (their config names ``space.json`` too).  A CLI chain writes
+its input file and runs ``cover``, ``nerve`` and ``verify`` on it, each in a
 fresh process, with its wall time, exit code, the peak RSS of the commands
 so far and the sha256 of every file it writes.  Its inputs are the
 coordinates as JSON (``cli-coords``) and the ``from_coords`` distance
@@ -133,6 +135,8 @@ def stage(src: str, kind: str) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
         timed("report_write", lambda: cli._emit(goodness.to_json(), path, args))
+        with open(path, "rb") as fh:
+            report_sha = _sha(fh.read())
     nerve = timed("nerve_of", lambda: nerve_of(cover))
     timed("PartitionOfUnity", lambda: PartitionOfUnity(cover))
     report = timed("nerve_matches_space",
@@ -141,9 +145,8 @@ def stage(src: str, kind: str) -> dict:
     out["peak_rss_mb"] = round(_rss_mb(), 1)
     out["sets"] = cover.n_sets
     out["nerve_simplices"] = len(nerve.simplices)
-    out["goodness"] = {  # the report as ``cli._emit`` writes it, without its config
-        "entries": len(goodness.entries), "pass": goodness.ok,
-        "sha256": _sha(json.dumps(goodness.to_json(), sort_keys=True, indent=2).encode())}
+    out["goodness"] = {"entries": len(goodness.entries), "pass": goodness.ok,
+                       "sha256": report_sha}
     out["betti"] = {"nerve": list(report.nerve_betti.ranks),
                     "space": list(report.space_betti.ranks)}
     return out
