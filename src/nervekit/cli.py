@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .cover import Cover, CoverError, build_ball_cover, goodness_report
 from .homology import nerve_matches_space
-from .metric import (FiniteMetricSpace, MetricError, PointMap,
+from .metric import (FiniteMetricSpace, MetricError, PointMap, _check_points,
                      check_approximation, gh_distance_bound,
                      gh_distance_exhaustive)
 from .nerve import nerve_of
@@ -69,12 +69,13 @@ def _str_keyed(o) -> bool:
 def _column(values: list, nl: str):
     """An iterator over values as ``_dumps`` writes each after nl, made as
     the row template is filled, when all are of one exact type among bool,
-    int, float, str and None, or are nonempty lists of exact ints; else None."""
+    int, float, str and None, or are nonempty lists (or all nonempty tuples)
+    of exact ints, which json writes alike; else None."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind in _INLINE:
         return map(_INLINE[kind], values)
-    if (kind is list and all(values)
+    if (kind in (list, tuple) and all(values)
             and set(map(type, itertools.chain.from_iterable(values))) == {int}):
         inner = nl + "  "
         return ("[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]"
@@ -160,8 +161,16 @@ def cmd_glue(args) -> int:
                       ("source_pairs", list), ("target_pairs", list)):
         if not (isinstance(region_cfg, dict) and isinstance(region_cfg.get(key), kind)):
             raise ValueError(f"region JSON needs {key!r}, {kinds[kind]}")
-    config = GluingConfig(src, frozenset(region_cfg["D"]), float(region_cfg["mu"]))
-    g = {int(k): int(v) for k, v in region_cfg["g"].items()}
+    for key in ("source_pairs", "target_pairs"):
+        if not all(isinstance(p, list) for p in region_cfg[key]):
+            raise ValueError(f"region JSON {key!r} must be an array of arrays")
+    delta = region_cfg.get("delta", 0.1)
+    if not isinstance(delta, (int, float)):
+        raise ValueError("region JSON 'delta' must be a number")
+    _check_points(region_cfg["g"].values(), tgt.n, "region JSON 'g' value", ValueError)
+    # GluingConfig checks the points of D
+    config = GluingConfig(src, region_cfg["D"], float(region_cfg["mu"]))
+    g = {int(k): v for k, v in region_cfg["g"].items()}
     f_img = region_cfg.get("f")
     if f_img is None:
         if src.n != tgt.n:
@@ -174,7 +183,7 @@ def cmd_glue(args) -> int:
             src, tgt, config.blend_zone, float(region_cfg["deltaR"]),
             [tuple(p) for p in region_cfg["source_pairs"]],
             [tuple(p) for p in region_cfg["target_pairs"]],
-            g, delta=region_cfg.get("delta", 0.1),
+            g, delta=delta,
         )
         glued, report = glue_maps(f, g, config, atlas)
     except (MetricError, CoverError, KeyError) as exc:

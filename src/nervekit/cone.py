@@ -79,20 +79,17 @@ class CylinderSpace:
         self.L = float(L)
         self.nerve = nerve_of(cover)
         self.pou = PartitionOfUnity(cover)
-        self._bases = {}
 
     def check_membership(self, p: CylinderPoint) -> bool:
         return self._holds(p.theta.support, p.cone.base, 0.0 <= p.cone.t <= self.L)
 
-    def _holds(self, supp: frozenset, base: int, height_ok: bool) -> bool:
+    def _holds(self, supp, base: int, height_ok: bool) -> bool:
         """Membership of a point with support supp and base base whose height
-        is in [0, L] when height_ok.  The bases allowed over each support (the
-        intersection it indexes, or none when it is no nerve simplex) are
-        found on first use and kept."""
-        if supp not in self._bases:
-            self._bases[supp] = (frozenset.intersection(*(self.cover.sets[j] for j in supp))
-                                 if self.nerve.contains(supp) else frozenset())
-        return height_ok and base in self._bases[supp]
+        is in [0, L] when height_ok: base is a point in every set of supp, by
+        the member bitsets.  The nerve is whole, so supp is then a simplex."""
+        masks = self.cover._masks
+        return (height_ok and 0 <= base < self.space.n and int(base) == base
+                and all(0 <= j < len(masks) and masks[j] >> int(base) & 1 for j in supp))
 
     def require(self, p: CylinderPoint):
         if not self.check_membership(p):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,10 +42,15 @@ class Cover:
     multiplicity_bound: int = None
 
     def __post_init__(self):
-        sets = tuple(frozenset(s) for s in self.sets)
-        object.__setattr__(self, "sets", sets)
+        n, sets = self.space.n, []
+        for j, s in enumerate(self.sets):
+            # checked first: a member must be hashable, and a member -1
+            # would silently mark the last point
+            _check_points(s, n, f"set {j} member", CoverError)
+            sets.append(frozenset(s))
+        object.__setattr__(self, "sets", tuple(sets))
         centers = tuple(self.centers)
-        _check_points(centers, self.space.n, "center", CoverError)
+        _check_points(centers, n, "center", CoverError)
         object.__setattr__(self, "centers", tuple(map(int, centers)))
         if len(sets) != len(self.centers):
             raise CoverError("need exactly one center per set")
@@ -55,11 +61,8 @@ class Cover:
             object.__setattr__(self, "radius_hint", hints)
         if any(not s for s in sets):
             raise CoverError("cover sets must be nonempty")
-        n = self.space.n
         member = np.zeros((n, len(sets)), dtype=bool)
         for j, (s, c) in enumerate(zip(sets, self.centers)):
-            # checked first: a member -1 would silently mark the last point
-            _check_points(s, n, f"set {j} member", CoverError)
             if c not in s:
                 raise CoverError(f"center {c} of set {j} is not a member")
             member[list(s), j] = True
@@ -240,8 +243,7 @@ def intersections(cover: Cover, max_order: int):
             for level in _records(cover, max_order) for idx, members, center in level]
 
 
-@dataclass(frozen=True)
-class GoodnessEntry:
+class GoodnessEntry(NamedTuple):
     indices: tuple
     star_shaped: bool
     betti: tuple
@@ -271,16 +273,7 @@ class GoodnessReport:
         return {
             "advisory": True,
             "pass": self.ok,
-            "entries": [
-                {
-                    "indices": list(e.indices),
-                    "star_shaped": e.star_shaped,
-                    "betti": list(e.betti),
-                    "proxy_scale": e.proxy_scale,
-                    "contractible_proxy": e.contractible_proxy,
-                }
-                for e in self.entries
-            ],
+            "entries": [e._asdict() for e in self.entries],
         }
 
 
@@ -375,13 +368,9 @@ def goodness_report(cover: Cover, max_order: int = 8) -> GoodnessReport:
             raise CoverError(f"intersection of sets {list(idx)} has no goodness proxy scale: "
                              f"each of its members coincides with another, as points {a} "
                              f"and {b} do (distance {float(dist[a, b])!r})")
-        proxies[members] = (scale, ranks, ranks[0] == 1 and not any(ranks[1:]))
+        # the last three fields of a GoodnessEntry
+        proxies[members] = (ranks, scale, ranks[0] == 1 and not any(ranks[1:]))
     keys = list(dict.fromkeys((members, center) for _idx, members, center in records))
     stars = dict(zip(keys, _stars(dist, keys)))
-    entries = []
-    for idx, members, center in records:
-        scale, ranks, trivial = proxies[members]
-        entries.append(GoodnessEntry(indices=idx, star_shaped=stars[members, center],
-                                     betti=ranks, proxy_scale=scale,
-                                     contractible_proxy=trivial))
-    return GoodnessReport(tuple(entries))
+    return GoodnessReport(tuple(GoodnessEntry(idx, stars[members, center], *proxies[members])
+                                for idx, members, center in records))

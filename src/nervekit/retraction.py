@@ -165,9 +165,10 @@ def radial_projection(sigma, x: BarycentricPoint, t: float, L: float):
     simplex boundary.
 
     Returns (target point, landing height).  Points of the boundary wall and
-    of the base slice are their own images, exactly.  Heights lie in [0, L].
-    The one row is ``_project``'s arithmetic in Python floats, in its order.
-    """
+    of the base slice are their own images, exactly.  Heights lie in [0, L],
+    by ``_landing_heights``' arithmetic in Python floats; a coordinate that
+    reaches the wall computes to at most 2u / k, u = 2^-53, which the point
+    drops."""
     if not 0.0 <= t <= L:
         raise MetricError(f"height {t} outside [0, {L}]")
     sigma = tuple(sorted(sigma))
@@ -180,30 +181,24 @@ def radial_projection(sigma, x: BarycentricPoint, t: float, L: float):
         raise MetricError("barycentric point is not carried by the simplex")
     coords = [x[v] for v in sigma]
     bary = 1.0 / len(coords)
-    lam = [bary / gap if gap > 0.0 else math.inf for gap in [bary - c for c in coords]]
-    lam_wall, lam0 = min(lam), 2.0 * L / (2.0 * L - t)
-    wall = lam_wall < lam0
-    out = [0.0 if wall and hit == lam_wall else bary + (lam_wall if wall else lam0) * (c - bary)
-           for c, hit in zip(coords, lam)]
-    u = min(max(2.0 * L + lam_wall * (t - 2.0 * L), 0.0), L) if wall else 0.0
-    return BarycentricPoint({v: max(c, 0.0) for v, c in zip(sigma, out)}), float(u)
+    lam_wall = min(bary / gap if gap > 0.0 else math.inf for gap in [bary - c for c in coords])
+    lam0 = 2.0 * L / (2.0 * L - t)
+    u = min(max(2.0 * L + lam_wall * (t - 2.0 * L), 0.0), L) if lam_wall < lam0 else 0.0
+    lam = min(lam_wall, lam0)
+    return BarycentricPoint({v: bary + lam * (c - bary) for v, c in zip(sigma, coords)}), float(u)
 
 
-def _project(coords: np.ndarray, t, L: float):
-    """The radial projection of ``_BlendGrid``'s rows of sigma coordinates at
-    heights t (per row, or one for all): the rows moved away from the
-    barycenter until they reach the base slice or a wall, with the coordinates
-    that reach it together set to 0 and all clipped at 0, and the heights u."""
+def _landing_heights(coords: np.ndarray, t, L: float) -> np.ndarray:
+    """The landing heights u of ``radial_projection`` for ``_BlendGrid``'s
+    rows of sigma coordinates at heights t (per row, or one for all), all
+    carried by the whole simplex: 0 where a row reaches the base slice."""
     bary = 1.0 / coords.shape[1]
     gap = bary - coords
     lam = np.divide(bary, gap, out=np.full(gap.shape, np.inf), where=gap > 0.0)
     lam_wall = lam.min(axis=1)
     lam0 = 2.0 * L / (2.0 * L - t)
-    wall = lam_wall < lam0
-    out = bary + np.where(wall, lam_wall, lam0)[:, None] * (coords - bary)
-    out[wall[:, None] & (lam == lam_wall[:, None])] = 0.0
     u = np.minimum(np.maximum(2.0 * L + lam_wall * (t - 2.0 * L), 0.0), L)
-    return np.maximum(out, 0.0), np.where(wall, u, 0.0)
+    return np.where(lam_wall < lam0, u, 0.0)
 
 
 class _BlendGrid:
@@ -222,7 +217,7 @@ class _BlendGrid:
         t = np.tile(np.linspace(0.0, L, H), len(comps))
         # as in radial_projection, points on a proper face stay at their
         # height and the base slice stays at 0
-        u = np.where((coords > 0.0).all(axis=1), _project(coords, t, L)[1], t)
+        u = np.where((coords > 0.0).all(axis=1), _landing_heights(coords, t, L), t)
         u[t == 0.0] = 0.0
         pts = np.column_stack([coords, t])
         self.low = pts[u <= L / 10.0]
@@ -418,7 +413,7 @@ class TraceStage:
         its height lies in [0, L], so one check is made per such key."""
         inside = [0.0 <= h <= cyl.L for h in self._heights]
         distinct = set(zip(self._kept, self._bases, inside))
-        return all(cyl._holds(frozenset(itertools.compress(self._keys, on)), base, ok)
+        return all(cyl._holds(itertools.compress(self._keys, on), base, ok)
                    for on, base, ok in distinct)
 
 

@@ -7,8 +7,9 @@ report, its per-member-set proxy chain (submatrix validated again,
 closure-checked complex, whole reduction), tree distances, the cylinder retraction replayed once per grid value, the
 contraction paths walked afresh from every member, the radial projection
 one coordinate at a time and the height-blend grid one projection per node,
-the gather-based greedy Gromov-Hausdorff matching, the triangle check by one
-broadcast per 32-row block, Euclidean distances by one broadcast, and the
+cylinder membership by frozenset intersection, the gather-based greedy
+Gromov-Hausdorff matching, the triangle check by one broadcast per 32-row
+block, Euclidean distances by one broadcast, and the
 per-point and per-set membership scans of covers, of the gluing domain and
 its neighborhoods, of chart atlases and of the stability maps, the
 gluings' chart fold reading one chart's ball and cutoff at a time, the cone
@@ -18,7 +19,8 @@ compare nervekit's bitset cover core, its linear complex checks,
 ``PartitionOfUnity``, its sparse homology core, ``goodness_report``,
 its proxy Betti numbers and star check,
 ``tree_space``, ``full_cylinder_retraction``, ``Contraction``,
-``radial_projection`` and its grid, ``gh_distance_bound``, the
+``radial_projection`` and its grid, ``CylinderSpace.check_membership``,
+``gh_distance_bound``, the
 metric validation kernel, ``FiniteMetricSpace.from_coords``, the cover's
 membership matrix and clearances, ``GluingConfig``, ``default_rho``,
 ``ChartAtlas``, the chart fold, the stability maps and the gluings against
@@ -394,6 +396,18 @@ def radial_projection(sigma, x, t, L):
         raise MetricError("barycentric point is not carried by the simplex")
     out, u = project_row(np.array([x[v] for v in sigma]), t, L)
     return BarycentricPoint({v: w for v, w in zip(sigma, out)}), u
+
+
+def cylinder_membership(cover, p, L):
+    """Whether the cylinder point p lies in the mapping cylinder of cover at
+    height scale L: its height in [0, L] and its base in the frozenset
+    intersection of the sets its support indexes (none when a vertex is no
+    set index)."""
+    supp = p.theta.support
+    if not all(0 <= j < cover.n_sets for j in supp):
+        return False
+    common = frozenset.intersection(*(cover.sets[j] for j in supp))
+    return 0.0 <= p.cone.t <= L and p.cone.base in common
 
 
 def blend_grid(k, L):

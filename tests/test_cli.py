@@ -1,6 +1,5 @@
 import json
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ten_line_sets_cover, three_arc_cover
-from nervekit import metric
 from nervekit.cli import _dumps, main
 from nervekit.cover import build_ball_cover
 from nervekit.samples import circle_space, grid_with_strainers
@@ -70,9 +68,9 @@ ROW_KEYS = st.one_of(st.text(max_size=3), st.sampled_from(["%s", "%", "a%%b", "%
 @st.composite
 def _rows(draw, kids):
     """Lists of dicts with one set of str keys, the report's shape, whose
-    values are kids, nan, inf, numpy floats or lists of ints and bools, in
-    columns of one kind or mixed; some rows deviate: a key missing, an
-    extra str or non-str key, or an item that is no dict."""
+    values are kids, nan, inf, numpy floats or lists or tuples of ints and
+    bools, in columns of one kind or mixed; some rows deviate: a key
+    missing, an extra str or non-str key, or an item that is no dict."""
     keys = draw(st.lists(ROW_KEYS, min_size=1, max_size=5, unique=True))
     cell = st.one_of(kids, st.sampled_from([math.nan, math.inf, -math.inf]),
                      st.floats().map(np.float64), st.lists(st.integers(-2**70, 2**70)),
@@ -81,7 +79,8 @@ def _rows(draw, kids):
     column = {k: draw(st.sampled_from([
         cell, st.booleans(), st.integers(), st.floats(), st.text(), st.none(),
         st.floats().map(np.float64), st.lists(st.integers()),
-        st.lists(st.integers(), min_size=1),
+        st.lists(st.integers(), min_size=1), st.lists(st.integers(), min_size=1).map(tuple),
+        st.one_of(st.lists(st.integers(), min_size=1), st.lists(st.integers()).map(tuple)),
         st.lists(st.one_of(st.integers(), st.booleans()), min_size=1)])) for k in keys}
     rows = draw(st.lists(st.fixed_dictionaries(column), min_size=1, max_size=6))
     for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3, unique=True)):
@@ -132,13 +131,12 @@ def test_dumps_rejects_what_json_rejects(value):
     _same_as_json(value)
 
 
-# BUDGET / 2**12 is 64 bytes: one row per block
-@pytest.mark.parametrize("divisor", [1, 2**12])
+# 4096 copies of the drawn rows: a report as long as a large cover's
+@pytest.mark.parametrize("copies", [1, 4096])
 @given(_rows(_values(SCALARS)))
 @settings(max_examples=100, deadline=None)
-def test_dumps_writes_rows_as_json_dumps(divisor, value):
-    with mock.patch.object(metric, "BUDGET", metric.BUDGET // divisor):
-        _same_as_json(value)
+def test_dumps_writes_rows_as_json_dumps(copies, value):
+    _same_as_json(value * copies)
 
 
 @given(_rows(_values(st.one_of(SCALARS, REJECTED))))
@@ -421,5 +419,29 @@ def test_malformed_json_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
     monkeypatch.chdir(tmp_path)
     (tmp_path / "s.json").write_text(json.dumps(circle_space(8).to_json()))
     (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+REGION = {"D": [0], "mu": 1.0, "deltaR": 1.0, "g": {"0": 0},
+          "source_pairs": [[3, 5]], "target_pairs": [[3, 5]]}
+GLUE = ["glue", "s.json", "s.json", "--region", "r.json"]
+
+
+@pytest.mark.parametrize("name, obj, argv, message", [
+    ("c.json", {"sets": [[[0]]], "centers": [0]}, ["nerve", "s.json", "c.json", "--out", "n.json"],
+     "set 0 member [0] is not a point index in [0, 8)"),
+    ("r.json", dict(REGION, D=[[0]]), GLUE, "D point [0] is not a point index in [0, 8)"),
+    ("r.json", dict(REGION, g={"0": [0]}), GLUE,
+     "region JSON 'g' value [0] is not a point index in [0, 8)"),
+    ("r.json", dict(REGION, source_pairs=[5]), GLUE,
+     "region JSON 'source_pairs' must be an array of arrays"),
+    ("r.json", dict(REGION, delta="x"), GLUE, "region JSON 'delta' must be a number"),
+], ids=["cover-member", "region-D-item", "region-g-value", "region-pair", "region-delta"])
+def test_nested_malformed_json_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                      name, obj, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps(circle_space(8).to_json()))
+    (tmp_path / name).write_text(json.dumps(obj))
     assert main(argv) == 2
     assert capsys.readouterr().err == message + "\n"

@@ -1,12 +1,12 @@
 """The array kernels of the maps layers against the per-point loops in
 ``oracles.py``: the contraction paths derived from one parent tree, the
-radial projection on rows of coordinates and the height-blend grid built
-from it, and the gluings' chart fold over one in-ball mask and cutoff
-matrix, and the two gluings against their separate per-point loops.  Floats
-must match bit for bit.  The cases include members at distance 0 (or just
-below) from their center, ties in distance, coordinates that reach the wall
-together, heights 0 and L, points on a proper face and points in no chart
-ball."""
+landing heights of the radial projection on rows of coordinates and the
+height-blend grid built from them, the radial projection itself, and the
+gluings' chart fold over one in-ball mask and cutoff matrix, and the two
+gluings against their separate per-point loops.  Floats must match bit for
+bit.  The cases include members at distance 0 (or just below) from their
+center, ties in distance, coordinates that reach the wall together, heights
+0 and L, points on a proper face and points in no chart ball."""
 import functools
 import math
 
@@ -21,7 +21,7 @@ from nervekit.complex import BarycentricPoint
 from nervekit.cone import ConePoint
 from nervekit.cover import Cover
 from nervekit.metric import FiniteMetricSpace, MetricError, PointMap
-from nervekit.retraction import (Contraction, _BlendGrid, _project,
+from nervekit.retraction import (Contraction, _BlendGrid, _landing_heights,
                                  build_contractions, cone_retraction_phi,
                                  radial_projection)
 from nervekit.samples import grid_with_strainers
@@ -117,25 +117,31 @@ def test_projection_kernel_rows_match_the_coordinate_loop(k, height, data):
     cases = data.draw(st.lists(simplex_points(k), min_size=1, max_size=8))
     rows = np.array([[x[v] for v in sigma] for sigma, x, _t in cases])
     t = np.array([min(c[2], height) for c in cases])
-    out, u = _project(rows, t, height)
-    for i, row in enumerate(rows):
-        want_out, want_u = oracles.project_row(row, float(t[i]), height)
-        assert _bits(out[i]) == _bits(want_out)
+    u = _landing_heights(rows, t, height)
+    for i, (row, (sigma, x, _t)) in enumerate(zip(rows, cases)):
+        _want_row, want_u = oracles.project_row(row, float(t[i]), height)
         assert _bits(u[i]) == _bits(want_u)
+        got, _u = radial_projection(sigma, x, float(t[i]), height)
+        want, _v = oracles.radial_projection(sigma, x, float(t[i]), height)
+        assert list(got.weights.items()) == list(want.weights.items())
 
 
 @pytest.mark.parametrize("row", [np.array([1.0, 1.0, 35.0]) / 37.0,
                                  np.array([1.0, 1.0, 8.0, 8.0]) / 18.0])
 def test_projection_kernel_zeroes_every_coordinate_that_hits_the_wall(row):
     # the two low coordinates reach the wall at the same lambda, where the
-    # arithmetic alone leaves them a few ulps above 0
+    # arithmetic alone leaves them a few ulps above 0, below WEIGHT_DROP
+    sigma = tuple(range(len(row)))
+    x = BarycentricPoint(dict(zip(sigma, row.tolist())))
+    coords = np.array([x[v] for v in sigma])
     bary = 1.0 / len(row)
-    lam = bary / (bary - row.min())
-    assert bary + lam * (row.min() - bary) > 0.0
-    (got,), (u,) = _project(row[None, :], 5.0, L)
-    want, want_u = oracles.project_row(row, 5.0, L)
-    assert _bits(got) == _bits(want) and _bits(u) == _bits(want_u)
-    assert (got[row == row.min()] == 0.0).all() and u > 0.0
+    lam = bary / (bary - coords.min())
+    assert bary + lam * (coords.min() - bary) > 0.0
+    got, u = radial_projection(sigma, x, 5.0, L)
+    want, want_u = oracles.radial_projection(sigma, x, 5.0, L)
+    assert list(got.weights.items()) == list(want.weights.items())
+    assert _bits(u) == _bits(want_u) and u > 0.0
+    assert got.support == {v for v in sigma if coords[v] > coords.min()}
 
 
 @st.composite
@@ -170,12 +176,12 @@ def test_radial_projection_is_the_kernel_row_in_floats(case, height, data):
                                              height]),
                             st.floats(0.0, height)))
     got, u = radial_projection(sigma, x, t, height)
-    (row,), (want_u,) = _project(np.array([[x[v] for v in sigma]]), t, height)
+    (want_u,) = _landing_heights(np.array([[x[v] for v in sigma]]), t, height)
     assert _bits(u) == _bits(want_u)
     if t == 0.0:  # the base slice is fixed without the kernel
         assert got is x
     else:
-        want = BarycentricPoint(dict(zip(sigma, row.tolist())))
+        want, _v = oracles.radial_projection(sigma, x, t, height)
         assert list(got.weights) == list(want.weights)
         assert _bits(list(got.weights.values())) == _bits(list(want.weights.values()))
 

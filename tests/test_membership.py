@@ -1,6 +1,6 @@
-"""The cover's membership matrix and clearances, the gluing domain's distance
-field and the array forms of the chart atlas and stability maps, against
-the per-point and per-set scans in ``oracles.py``.  Floats must match bit
+"""The cover's membership matrix and clearances, cylinder membership, the
+gluing domain's distance field and the array forms of the chart atlas and
+stability maps, against the per-point and per-set scans in ``oracles.py``.  Floats must match bit
 for bit.  The spaces repeat points, at distance 0 or just below it (within
 ``METRIC_TOL``), so that ties, zero clearances and empty regions occur."""
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (line_pair_cover, octahedral_cover, shared_members_cover,
                       spaces, three_arc_cover, tree_ball_cover)
-from nervekit.cone import CylinderSpace
+from nervekit.cone import ConePoint, CylinderPoint, CylinderSpace
 from nervekit.complex import BarycentricPoint
 from nervekit.cover import Cover, CoverError, _net, build_ball_cover, greedy_net
 from nervekit.metric import (FiniteMetricSpace, MetricError, PointMap,
@@ -89,6 +89,32 @@ def test_fixed_covers_match_the_set_scans(make):
                for x in range(cov.space.n))
     assert _same_bits(cov.mesh(), oracles.mesh(cov))
     assert _same_bits(cov.clearance, oracles.clearances(cov))
+
+
+@given(st.one_of(covers(), st.sampled_from([100]).map(three_arc_cover)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_cylinder_membership_matches_the_intersection_lookup(cov, data):
+    # supports with vertices -1 and m, bases -1 and n, numpy integer and
+    # float bases (set bitsets of 100 points exceed a numpy int64), and
+    # heights outside [0, L]; a base and support taken from one point's
+    # membership lie in the cylinder when the height does
+    try:
+        cyl = CylinderSpace(cov)
+    except CoverError:  # a center on its set's edge has no partition of unity
+        assume(False)
+    n, m = cov.space.n, cov.n_sets
+    for _ in range(10):
+        if data.draw(st.booleans()):
+            base = data.draw(st.integers(0, n - 1))
+            supp = data.draw(st.sets(st.sampled_from(sorted(cov.membership(base))), min_size=1))
+        else:
+            base = data.draw(st.integers(-1, n))
+            supp = data.draw(st.sets(st.integers(-1, m), min_size=1, max_size=4))
+        base = data.draw(st.sampled_from([int, np.int64, np.int32, float,
+                                          lambda b: b + 0.5]))(base)
+        t = data.draw(st.sampled_from([-0.5, 0.0, 3.0, cyl.L, cyl.L + 0.5, np.nan]))
+        p = CylinderPoint(BarycentricPoint({j: 1.0 for j in supp}), ConePoint(base, t))
+        assert cyl.check_membership(p) == oracles.cylinder_membership(cov, p, cyl.L)
 
 
 @given(spaces(min_n=4), st.floats(1.5, 6.0), st.integers(0, 5))

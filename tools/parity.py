@@ -14,6 +14,9 @@ with sha256:
   the GH bracket, the glued map and the glued homotopy, and the
   contractions of the octahedral cover and of the three-arc circle cover
   (each key, center and sorted path map)
+- ``maps/blend-grid``: the low-landing and high-landing nodes of the
+  height-blend grid, ``_BlendGrid(k, L).low`` and ``.high``, for k = 2 to 6
+  at L = 7 and 9.5 (the traces above reach k <= 3 only)
 - ``sphere-nerve``, seeds 1 and 2: the partition of unity's bytes, the
   nerve and its maximal simplices, the verify report, the Vietoris-Rips
   complex at the verify scale up to dimension 3, the cover's
@@ -104,6 +107,17 @@ def _maps(seed: int, workdir: str, out: dict):
     out[f"{tag}/gh_bracket"] = _sha(repr(res["gh"]))
     out[f"{tag}/glued_map"] = _sha(_array(res["glued"]))
     out[f"{tag}/glued_homotopy"] = _sha(_array(res["homotopy"]))
+
+
+def _blend_grid(out: dict):
+    from nervekit.retraction import _BlendGrid
+
+    grids = hashlib.sha256()
+    for L in (7.0, 9.5):
+        for k in range(2, 7):
+            grid = _BlendGrid(k, L)
+            grids.update(_array(grid.low) + _array(grid.high))
+    out["maps/blend-grid"] = grids.hexdigest()
 
 
 def _sphere_nerve(seed: int, workdir: str, out: dict):
@@ -298,6 +312,7 @@ def emit(src: str, workdir: str = os.curdir) -> dict:
         _maps(seed, workdir, out)
         _sphere_nerve(seed, workdir, out)
         _sphere_goodness(seed, workdir, out)
+    _blend_grid(out)
     _cli(workdir, out)
     _metric(out)
     return out
