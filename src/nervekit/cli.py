@@ -170,14 +170,18 @@ def cmd_glue(args) -> int:
     _check_points(region_cfg["g"].values(), tgt.n, "region JSON 'g' value", ValueError)
     # GluingConfig checks the points of D
     config = GluingConfig(src, region_cfg["D"], float(region_cfg["mu"]))
-    g = {int(k): v for k, v in region_cfg["g"].items()}
+    g = {}
+    for k, v in region_cfg["g"].items():
+        if not (k.isdecimal() and str(i := int(k)) == k and i < src.n):
+            raise ValueError(f"region JSON 'g' key {k!r} is not a point index in [0, {src.n})")
+        g[i] = v
     f_img = region_cfg.get("f")
     if f_img is None:
         if src.n != tgt.n:
             print("need an explicit f when sample sizes differ", file=sys.stderr)
             return 2
         f_img = list(range(src.n))
-    f = PointMap(src, tgt, np.array(f_img, dtype=int))
+    f = PointMap(src, tgt, f_img)
     try:
         atlas = build_gluing_atlas(
             src, tgt, config.blend_zone, float(region_cfg["deltaR"]),

@@ -225,8 +225,8 @@ class BarycentricPoint:
 
     Weights below ``WEIGHT_DROP`` are discarded and the rest renormalized, so
     the support is always exactly the set of carried keys.  The total is
-    summed left to right in key order, on every Python version (``sum``
-    compensates from 3.12 on), so that an array kernel can reproduce it.
+    summed left to right in key order, so that every Python version gives
+    the same floats (``sum`` compensates from 3.12 on).
     """
 
     __slots__ = ("weights",)
@@ -239,14 +239,6 @@ class BarycentricPoint:
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             w = {v: c / total for v, c in w.items()}
         self.weights = w
-
-    @classmethod
-    def _from_weights(cls, weights: dict) -> "BarycentricPoint":
-        """The point with these weights as they are: int keys, each weight
-        above ``WEIGHT_DROP``, already normalized."""
-        point = cls.__new__(cls)
-        point.weights = weights
-        return point
 
     @classmethod
     def vertex(cls, j: int) -> "BarycentricPoint":

@@ -341,9 +341,13 @@ class PointMap:
     image: np.ndarray
 
     def __post_init__(self):
-        img = np.asarray(self.image, dtype=int)
+        img = np.asarray(self.image)
         if img.shape != (self.source.n,):
-            raise MetricError("image length must equal source size")
+            raise MetricError(f"image must be 1-D of the source size {self.source.n}, "
+                              f"got shape {img.shape}")
+        if img.dtype.kind not in "iu":
+            raise MetricError(f"image must hold integer point indices, got {img.dtype}")
+        img = img.astype(int, copy=False)
         if img.min() < 0 or img.max() >= self.target.n:
             raise MetricError("image index out of range")
         img.setflags(write=False)
@@ -553,6 +557,9 @@ def check_strainer(space: FiniteMetricSpace, p: int, pairs, delta: float) -> Str
     """
     if len(pairs) == 0:
         raise MetricError("a strainer needs at least one pair")
+    for pair in pairs:
+        if len(pair) != 2:
+            raise MetricError(f"strainer pair {list(pair)} must hold exactly two points")
     _check_points([p, *itertools.chain(*pairs)], space.n, "strainer point")
     margins = [comparison_angle(space, a, p, b) - (math.pi - delta) for a, b in pairs]
     half = math.pi / 2.0 - delta

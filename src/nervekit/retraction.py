@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import (WEIGHT_DROP, WEIGHT_SUM_TOL, BarycentricPoint, ComplexError,
-                      combine)
+from .complex import WEIGHT_DROP, BarycentricPoint, ComplexError, combine
 from .cone import ConePoint, CylinderPoint, CylinderSpace, cone_distance
 from .cover import Cover, _records
 from .metric import FiniteMetricSpace, MetricError
@@ -278,13 +277,11 @@ def _s_grid(n_steps: int) -> tuple:
 @functools.lru_cache(maxsize=64)
 def _grid(s_grid: tuple):
     """The values of an s grid as a column, the cutoffs mu, nu and g at each,
-    and the positions of its values 0 and 1."""
+    and the positions of its value 1."""
     s = np.array(s_grid, dtype=float)[:, None]
     s.flags.writeable = False
     return (s, tuple(map(cutoff_mu, s_grid)), tuple(map(cutoff_nu, s_grid)),
-            tuple(map(cutoff_g, s_grid)),
-            [i for i, v in enumerate(s_grid) if v == 0.0],
-            [i for i, v in enumerate(s_grid) if v == 1.0])
+            tuple(map(cutoff_g, s_grid)), [i for i, v in enumerate(s_grid) if v == 1.0])
 
 
 def _bases(contraction, base: int, times) -> tuple:
@@ -303,27 +300,26 @@ def _simplexwise_stage(sigma: tuple, contraction, x: BarycentricPoint, p: ConePo
     simplex sigma, as one stage.
 
     The radial projection psi0, its height u and the blended height depend
-    only on (sigma, x, t), so they are computed once.  The stage keeps
-    a = x and b = psi0 over the keys of ``combine`` in its key order, and
-    which weights of ``a + s * (b - a)`` each s keeps: those above
-    ``WEIGHT_DROP``, at s = 1 those of b, its row (at s = 0 the row is a).
+    only on (sigma, x, t), so they are computed once.  The stage keeps the
+    ends x and psi0 of the segment that ``combine`` follows, and the keys of
+    each s's point: those whose weight in ``x + s * (psi0 - x)``, computed
+    over all s at once in ``combine``'s key order, exceeds ``WEIGHT_DROP``,
+    at s = 1 those of psi0.
     """
     t = p.t
     psi0, u = radial_projection(sigma, x, t, L)
     w = height_blend(sigma, x, t, L, u)
     keys = tuple(set(x.weights) | set(psi0.weights))
-    ends = [x[v] for v in keys], [psi0[v] for v in keys]
-    s, mus, nus, _gs, _zeros, ones = _grid(s_grid)
-    a, b = np.array(ends)
-    kept = (a + s * (b - a) > WEIGHT_DROP).tolist()
+    s, mus, nus, _gs, ones = _grid(s_grid)
+    a, b = np.array([[x[v] for v in keys], [psi0[v] for v in keys]])
+    flags = (a + s * (b - a) > WEIGHT_DROP).tolist()
     for i in ones:
-        kept[i] = [v > WEIGHT_DROP for v in ends[1]]
-    kept = list(map(tuple, kept))
-    # kept weights exceed WEIGHT_DROP, so a row totals 0 when it keeps none
-    if (False,) * len(keys) in kept:
+        flags[i] = (b > WEIGHT_DROP).tolist()
+    kept = [tuple(itertools.compress(keys, row)) for row in flags]
+    if () in kept:
         raise ComplexError("barycentric point needs positive weight")
     times = [0.0 if mu == 0.0 else mu * (t - u) for mu in mus]
-    return TraceStage._sampled(sigma, s_grid, keys, ends, kept,
+    return TraceStage._sampled(sigma, s_grid, x, psi0, kept,
                                _bases(contraction, p.base, times),
                                tuple(lerp(t, w, nu) for nu in nus))
 
@@ -340,17 +336,8 @@ def _cone_stage(sigma: tuple, contraction, x: BarycentricPoint, p: ConePoint,
                 s_grid: tuple) -> "TraceStage":
     """``cone_retraction_phi`` at each s of ``s_grid``, with the simplex
     point x held fixed, as one stage."""
-    row = list(x.weights.values())
-    return TraceStage._sampled(sigma, s_grid, tuple(x.weights), (row, row),
-                               [(True,) * len(row)] * len(s_grid),
+    return TraceStage._sampled(sigma, s_grid, x, x, [tuple(x.weights)] * len(s_grid),
                                *_cone_path(contraction, p, s_grid))
-
-
-def _point(keys: tuple, row: list, base, height: float) -> CylinderPoint:
-    """The cylinder point whose simplex weights are the nonzero entries of
-    row over keys."""
-    theta = BarycentricPoint._from_weights({v: c for v, c in zip(keys, row) if c})
-    return CylinderPoint(theta, ConePoint(base, height))
 
 
 class TraceStage:
@@ -358,10 +345,9 @@ class TraceStage:
     retraction over ``simplex``.
 
     A stage that ``full_cylinder_retraction`` samples keeps the ends a and b
-    of its segment ``a + s * (b - a)`` over the vertices ``_keys``, which
-    weights each s keeps (``_kept``, one row of flags per s), and the bases
+    of its segment, the keys of each s's point (``_kept``), and the bases
     and heights.  It builds its last point ``end`` at once, from b when the
-    grid ends at s = 1, and ``points`` with their weight matrix on first read.
+    grid ends at s = 1, and ``points`` on first read.
     """
 
     def __init__(self, simplex: tuple, s_grid: tuple, points: tuple):
@@ -369,31 +355,20 @@ class TraceStage:
         self.end = self.points[-1] if self.points else None
 
     @classmethod
-    def _sampled(cls, simplex, s_grid, keys, ends, kept, bases, heights) -> "TraceStage":
+    def _sampled(cls, simplex, s_grid, a, b, kept, bases, heights) -> "TraceStage":
         stage = cls.__new__(cls)
         stage.simplex, stage.s_grid = tuple(simplex), tuple(s_grid)
-        stage._keys, stage._ends, stage._kept = keys, ends, kept
+        stage._a, stage._b, stage._kept = a, b, kept
         stage._bases, stage._heights = bases, heights
-        stage.end = (_point(keys, ends[1], bases[-1], heights[-1]) if s_grid[-1] == 1.0
-                     else stage.points[-1])
+        stage.end = (CylinderPoint(b, ConePoint(bases[-1], heights[-1]))
+                     if s_grid[-1] == 1.0 else stage.points[-1])
         return stage
 
     @functools.cached_property
     def points(self) -> tuple:
-        """The rows of ``a + s * (b - a)`` with ``BarycentricPoint``'s drop and
-        renormalisation, totals summed column by column as it sums them, so
-        each is ``combine(a, b, s)`` float for float; at s = 0 and 1, a and b."""
-        a, b = np.array(self._ends)
-        s, *_cutoffs, zeros, ones = _grid(self.s_grid)
-        weights = a + s * (b - a)
-        weights = np.where(weights > WEIGHT_DROP, weights, 0.0)
-        for i, total in enumerate(weights.cumsum(axis=1)[:, -1].tolist()):
-            if abs(total - 1.0) > WEIGHT_SUM_TOL:
-                weights[i] /= total
-        weights[zeros] = a
-        weights[ones] = b
-        return tuple(map(functools.partial(_point, self._keys), weights.tolist(),
-                         self._bases, self._heights))
+        """``combine(a, b, s)`` at each s, over that s's base and height."""
+        return tuple(CylinderPoint(combine(self._a, self._b, s), ConePoint(base, height))
+                     for s, base, height in zip(self.s_grid, self._bases, self._heights))
 
     def _fields(self) -> tuple:
         return self.simplex, self.s_grid, self.points
@@ -412,9 +387,8 @@ class TraceStage:
         point's membership depends only on its support, its base and whether
         its height lies in [0, L], so one check is made per such key."""
         inside = [0.0 <= h <= cyl.L for h in self._heights]
-        distinct = set(zip(self._kept, self._bases, inside))
-        return all(cyl._holds(itertools.compress(self._keys, on), base, ok)
-                   for on, base, ok in distinct)
+        return all(cyl._holds(keys, base, ok)
+                   for keys, base, ok in set(zip(self._kept, self._bases, inside)))
 
 
 @dataclass(frozen=True)

@@ -322,6 +322,12 @@ def test_stability_rejects_radius_hint_of_wrong_length(tmp_path, capsys):
     ({"source_pairs": [[81, 82], [83, 85]]},
      "strainer point 85 is not a point index in [0, 85)"),
     ({"source_pairs": []}, "a strainer needs at least one pair"),
+    ({"source_pairs": [[81, 82], [83]]}, "strainer pair [83] must hold exactly two points"),
+    ({"g": {**{str(x): x for x in range(85)}, "-1": 0}},
+     "region JSON 'g' key '-1' is not a point index in [0, 85)"),
+    ({"g": {"x": 0}}, "region JSON 'g' key 'x' is not a point index in [0, 85)"),
+    ({"f": [1.5] * 85}, "image must hold integer point indices, got float64"),
+    ({"f": [[0]] * 85}, "image must be 1-D of the source size 85, got shape (85, 1)"),
 ])
 def test_glue_rejects_malformed_region(tmp_path, capsys, change, message):
     space, pairs = grid_with_strainers(9)

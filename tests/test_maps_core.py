@@ -109,7 +109,7 @@ def test_lazy_stages_equal_the_eager_replay(case, n_steps):
 @given(cylinder_points(), st.sampled_from([1, 2, 16]))
 @settings(max_examples=60, deadline=None)
 def test_a_trace_builds_no_weight_matrix_until_its_points_are_read(case, n_steps):
-    # a stage builds its weight matrix only for its cached points
+    # a stage builds its points only when they are read
     name, p = case
     _cover, cyl, cons, _simplices = _cylinder(name)
     assume(cyl.check_membership(p))

@@ -1,9 +1,10 @@
 """The array kernels of the maps layers against the per-point loops in
 ``oracles.py``: the contraction paths derived from one parent tree, the
 landing heights of the radial projection on rows of coordinates and the
-height-blend grid built from them, the radial projection itself, and the
-gluings' chart fold over one in-ball mask and cutoff matrix, and the two
-gluings against their separate per-point loops.  Floats must match bit for
+height-blend grid built from them, the radial projection itself, a trace
+stage's kept keys (numpy flags) against the supports of its points
+(``combine``), and the gluings' chart fold over one in-ball mask and
+cutoff matrix, and the two gluings against their separate per-point loops.  Floats must match bit for
 bit.  The cases include members at distance 0 (or just below) from their
 center, ties in distance, coordinates that reach the wall together, heights
 0 and L, points on a proper face and points in no chart ball."""
@@ -17,14 +18,14 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import octahedral_cover, spaces, three_arc_cover
-from nervekit.complex import BarycentricPoint
+from nervekit.complex import WEIGHT_DROP, BarycentricPoint
 from nervekit.cone import ConePoint
 from nervekit.cover import Cover
 from nervekit.metric import FiniteMetricSpace, MetricError, PointMap
-from nervekit.retraction import (Contraction, _BlendGrid, _landing_heights,
-                                 build_contractions, cone_retraction_phi,
-                                 radial_projection)
-from nervekit.samples import grid_with_strainers
+from nervekit.retraction import (Contraction, _BlendGrid, _cone_stage, _landing_heights,
+                                 _s_grid, _simplexwise_stage, build_contractions,
+                                 cone_retraction_phi, radial_projection)
+from nervekit.samples import grid_with_strainers, line_space
 from nervekit.stability import (Chart, ChartAtlas, GluingChart, GluingConfig,
                                 _fold_charts, build_gluing_atlas, default_rho,
                                 glue_homotopies, glue_maps)
@@ -246,6 +247,39 @@ def test_cone_retraction_matches_the_one_s_formula(space, data):
         want = oracles.cone_retraction_phi(con, p, s)
         got = cone_retraction_phi(con, p, s)
         assert got.base == want.base and _bits(got.t) == _bits(want.t)
+
+
+NEAR_DROP = [math.nextafter(WEIGHT_DROP, 0.0), WEIGHT_DROP, math.nextafter(WEIGHT_DROP, 1.0),
+             2.0 * WEIGHT_DROP, 1e-14]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_stage_keys_are_the_supports_of_its_points(data):
+    # a stage's kept keys come from one numpy pass over all s, its points
+    # from combine: weights at and near WEIGHT_DROP cross it along the
+    # segment, and a coordinate that hits the wall leaves at s = 1
+    k = data.draw(st.integers(1, 5))
+    sigma = tuple(sorted(data.draw(st.sets(st.integers(0, 11), min_size=k, max_size=k))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    weights = rng.dirichlet(np.ones(k))
+    for v in data.draw(st.sets(st.integers(0, k - 1), max_size=k - 1)):
+        weights[v] = data.draw(st.sampled_from(NEAR_DROP))
+    x = BarycentricPoint(dict(zip(sigma, weights.tolist())))
+    t = data.draw(st.sampled_from([0.0, L / 2.0, L, float(rng.uniform(0.0, L))]))
+    p = ConePoint(int(rng.integers(6)), t)
+    grid = data.draw(st.one_of(st.sampled_from([1, 2, 3, 16]).map(_s_grid),
+                               st.tuples(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))))
+    con = Contraction(line_space(6), frozenset(range(6)), 0, L)
+    cone = data.draw(st.booleans())
+    stage = (_cone_stage(sigma, con, x, p, grid) if cone
+             else _simplexwise_stage(sigma, con, x, p, grid, L))
+    end = stage.end
+    assert len(stage.points) == len(grid)
+    assert [frozenset(keys) for keys in stage._kept] == [q.theta.support for q in stage.points]
+    assert end == stage.points[-1]
+    if cone:
+        assert all(q.theta == x for q in stage.points)
 
 
 @functools.lru_cache(maxsize=None)

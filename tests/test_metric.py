@@ -659,6 +659,21 @@ def test_point_map_names_a_bad_point(i):
     assert str(exc.value) == f"source point {i!r} is not a point index in [0, 4)"
 
 
+@pytest.mark.parametrize("image, message", [
+    ([1.5, 0.0, 2.0, 3.0], "image must hold integer point indices, got float64"),
+    (np.arange(4.0), "image must hold integer point indices, got float64"),
+    ([True, False, True, False], "image must hold integer point indices, got bool"),
+    ([[0], [1], [2], [3]], "image must be 1-D of the source size 4, got shape (4, 1)"),
+    (np.arange(8).reshape(2, 4), "image must be 1-D of the source size 4, got shape (2, 4)"),
+])
+def test_point_map_rejects_an_image_that_is_no_index_vector(image, message):
+    # float images used to be truncated to points, bools read as 0 and 1
+    sp = line_space(4)
+    with pytest.raises(MetricError) as exc:
+        PointMap(sp, sp, image)
+    assert str(exc.value) == message
+
+
 def test_identity_is_perfect_approximation():
     sp = circle_space(12)
     pm = PointMap(sp, sp, np.arange(12))

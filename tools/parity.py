@@ -17,6 +17,11 @@ with sha256:
 - ``maps/blend-grid``: the low-landing and high-landing nodes of the
   height-blend grid, ``_BlendGrid(k, L).low`` and ``.high``, for k = 2 to 6
   at L = 7 and 9.5 (the traces above reach k <= 3 only)
+- ``maps/off-grid``: the values of s that 16-step traces never reach, on
+  seed 1's 3,000 cylinder points: ``simplexwise_retraction`` and
+  ``cone_retraction_phi`` at s = 0, 0.3, 0.55, 0.7 and 1 (the simplex
+  point and the cone point of each), and the JSON of each point's trace at
+  ``n_steps`` 1 and 3
 - ``sphere-nerve``, seeds 1 and 2: the partition of unity's bytes, the
   nerve and its maximal simplices, the verify report, the Vietoris-Rips
   complex at the verify scale up to dimension 3, the cover's
@@ -107,6 +112,28 @@ def _maps(seed: int, workdir: str, out: dict):
     out[f"{tag}/gh_bracket"] = _sha(repr(res["gh"]))
     out[f"{tag}/glued_map"] = _sha(_array(res["glued"]))
     out[f"{tag}/glued_homotopy"] = _sha(_array(res["homotopy"]))
+
+
+def _off_grid(workdir: str, out: dict):
+    import nervekit as nk
+    from perfbench.workloads import Maps
+
+    workload = Maps(SEEDS[0], workdir)
+    _cover, cyl, cons = workload._cylinder(workload.first["octa"])
+    rt = nk.retraction
+    digest = hashlib.sha256()
+    for p in workload.first["points"]:
+        supp = p.theta.support
+        for s in (0.0, 0.3, 0.55, 0.7, 1.0):
+            theta, cone = rt.simplexwise_retraction(supp, cons[supp], p.theta, p.cone, s,
+                                                    workload.L)
+            phi = rt.cone_retraction_phi(cons[supp], p.cone, s)
+            digest.update(_json([theta.to_json(), [cone.base, cone.t], [phi.base, phi.t]])
+                          .encode() + b"\n")
+        for n_steps in (1, 3):
+            trace = rt.full_cylinder_retraction(cyl, cons, p, n_steps=n_steps)
+            digest.update(_json(trace.to_json()).encode() + b"\n")
+    out["maps/off-grid"] = digest.hexdigest()
 
 
 def _blend_grid(out: dict):
@@ -312,6 +339,7 @@ def emit(src: str, workdir: str = os.curdir) -> dict:
         _maps(seed, workdir, out)
         _sphere_nerve(seed, workdir, out)
         _sphere_goodness(seed, workdir, out)
+    _off_grid(workdir, out)
     _blend_grid(out)
     _cli(workdir, out)
     _metric(out)
