@@ -3,7 +3,8 @@
 Every subcommand writes a JSON report embedding the resolved configuration
 and the package version, with sorted keys, so identical inputs and flags
 produce byte-identical outputs.  Exit codes: 0 pass, 1 verification
-mismatch, 2 validation or usage error.
+mismatch, 2 validation or usage error: commands raise, and ``main`` alone
+prints the message.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .cover import Cover, CoverError, build_ball_cover, goodness_report
+from .cover import Cover, build_ball_cover, goodness_report
 from .homology import nerve_matches_space
-from .metric import (FiniteMetricSpace, MetricError, PointMap, _check_points,
+from .metric import (_GH_SIZE_CAP, FiniteMetricSpace, PointMap, _check_points,
                      check_approximation, gh_distance_bound,
                      gh_distance_exhaustive)
 from .nerve import nerve_of
@@ -123,7 +124,7 @@ def cmd_gh(args) -> int:
     Y = FiniteMetricSpace.load(args.space_b)
     lower, upper = gh_distance_bound(X, Y, trials=args.trials, seed=args.seed)
     out = {"lower": lower, "upper": upper}
-    if X.n <= 6 and Y.n <= 6:
+    if X.n <= _GH_SIZE_CAP and Y.n <= _GH_SIZE_CAP:
         out["exact"] = gh_distance_exhaustive(X, Y)
     _emit(out, args.out, args)
     return 0
@@ -134,16 +135,8 @@ def cmd_stability(args) -> int:
     tgt = FiniteMetricSpace.load(args.space_b)
     cover = Cover.load(src, args.cover)
     if src.n != tgt.n:
-        print("stability pipeline needs equal sample sizes (identity map)",
-              file=sys.stderr)
-        return 2
-    pmap = PointMap(src, tgt, np.arange(src.n))
-    cert = check_approximation(pmap, args.epsilon)
-    if not cert.ok:
-        print(f"identity map is not an {args.epsilon}-approximation: "
-              f"distortion {cert.distortion}, defect {cert.defect}",
-              file=sys.stderr)
-        return 2
+        raise ValueError("stability pipeline needs equal sample sizes (identity map)")
+    cert = check_approximation(PointMap(src, tgt, np.arange(src.n)), args.epsilon)
     report = homotopy_equivalence_via_nerves(lift_cover(cover, cert))
     _emit(report.to_json(), args.out, args)
     ok = (report.membership_ok and report.within_10_mesh
@@ -178,21 +171,16 @@ def cmd_glue(args) -> int:
     f_img = region_cfg.get("f")
     if f_img is None:
         if src.n != tgt.n:
-            print("need an explicit f when sample sizes differ", file=sys.stderr)
-            return 2
+            raise ValueError("need an explicit f when sample sizes differ")
         f_img = list(range(src.n))
     f = PointMap(src, tgt, f_img)
-    try:
-        atlas = build_gluing_atlas(
-            src, tgt, config.blend_zone, float(region_cfg["deltaR"]),
-            [tuple(p) for p in region_cfg["source_pairs"]],
-            [tuple(p) for p in region_cfg["target_pairs"]],
-            g, delta=delta,
-        )
-        glued, report = glue_maps(f, g, config, atlas)
-    except (MetricError, CoverError, KeyError) as exc:
-        print(f"gluing rejected: {exc}", file=sys.stderr)
-        return 2
+    atlas = build_gluing_atlas(
+        src, tgt, config.blend_zone, float(region_cfg["deltaR"]),
+        [tuple(p) for p in region_cfg["source_pairs"]],
+        [tuple(p) for p in region_cfg["target_pairs"]],
+        g, delta=delta,
+    )
+    glued, report = glue_maps(f, g, config, atlas)
     exact_inner = all(glued(x) == g[x] for x in config.D)
     exact_outer = all(
         glued(x) == f(x) for x in range(src.n) if x not in config.D0
@@ -269,7 +257,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MetricError, CoverError, OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

@@ -132,7 +132,7 @@ class Cover:
         items = {"sets": (list, " of arrays"), "centers": (object, ""),
                  "radius_hint": ((int, float), " of numbers")}
         for key, (item, what) in items.items():
-            value = obj.get(key, [])
+            value = obj.get(key, [] if key == "radius_hint" else None)
             if not (isinstance(value, list) and all(isinstance(v, item) for v in value)):
                 raise CoverError(f"cover JSON {key!r} must be an array{what}")
         return cls(space, obj["sets"], obj["centers"], obj.get("radius_hint"))

@@ -341,7 +341,11 @@ class PointMap:
     image: np.ndarray
 
     def __post_init__(self):
-        img = np.asarray(self.image)
+        try:
+            img = np.asarray(self.image)
+        except ValueError:
+            raise MetricError(f"image must be 1-D of the source size {self.source.n}, "
+                              "got a ragged sequence") from None
         if img.shape != (self.source.n,):
             raise MetricError(f"image must be 1-D of the source size {self.source.n}, "
                               f"got shape {img.shape}")

@@ -174,6 +174,8 @@ class Chart:
 
     def __init__(self, space: FiniteMetricSpace, center: int, pairs, radius: float,
                  delta: float = 0.1):
+        if not radius > 0.0:
+            raise MetricError(f"chart radius must be positive, got {radius}")
         report = check_strainer(space, center, pairs, delta)
         if not report.ok:
             raise MetricError(
@@ -308,8 +310,13 @@ def build_gluing_atlas(source: FiniteMetricSpace, target: FiniteMetricSpace,
                        g_partial: dict, delta: float = 0.1) -> ChartAtlas:
     """Charts over a maximal (deltaR/2)-separated family of collar points,
     with target charts planted at the almost-isometric images."""
+    if not deltaR > 0.0:
+        raise MetricError(f"gluing deltaR must be positive, got {deltaR}")
     charts = []
     for c in _net(source, sorted(region), deltaR / 2.0):
+        if c not in g_partial:
+            raise MetricError(f"partial map g is undefined at chart center {c}")
+        _check_points([g_partial[c]], target.n, f"partial map g at chart center {c}: image")
         charts.append(
             GluingChart(
                 center=c,

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import ten_line_sets_cover, three_arc_cover
 from nervekit.cli import _dumps, main
 from nervekit.cover import build_ball_cover
-from nervekit.samples import circle_space, grid_with_strainers
+from nervekit.metric import FiniteMetricSpace
+from nervekit.samples import circle_space, grid_with_strainers, line_space
 
 
 @pytest.fixture
@@ -328,6 +329,11 @@ def test_stability_rejects_radius_hint_of_wrong_length(tmp_path, capsys):
     ({"g": {"x": 0}}, "region JSON 'g' key 'x' is not a point index in [0, 85)"),
     ({"f": [1.5] * 85}, "image must hold integer point indices, got float64"),
     ({"f": [[0]] * 85}, "image must be 1-D of the source size 85, got shape (85, 1)"),
+    ({"f": [[0]] + list(range(1, 85))},
+     "image must be 1-D of the source size 85, got a ragged sequence"),
+    ({"g": {str(x): x for x in range(85) if x != 20}},
+     "partial map g is undefined at chart center 20"),
+    ({"deltaR": 0}, "gluing deltaR must be positive, got 0.0"),
 ])
 def test_glue_rejects_malformed_region(tmp_path, capsys, change, message):
     space, pairs = grid_with_strainers(9)
@@ -419,7 +425,12 @@ def test_cover_names_an_intersection_of_coincident_points(tmp_path, capsys):
      "region JSON needs 'D', an array"),
     ("s.json", "5", ["cover", "s.json", "--radius", "1", "--out", "c.json"],
      "space JSON must be an object with 'dist' or 'coords'"),
-], ids=["nerve", "verify", "stability", "radius-hint", "region-D", "region-list", "space"])
+    ("c.json", '{"centers": [0]}', ["nerve", "s.json", "c.json", "--out", "n.json"],
+     "cover JSON 'sets' must be an array of arrays"),
+    ("c.json", '{"sets": [[0, 1, 2, 3, 4, 5, 6, 7]]}',
+     ["nerve", "s.json", "c.json", "--out", "n.json"], "cover JSON 'centers' must be an array"),
+], ids=["nerve", "verify", "stability", "radius-hint", "region-D", "region-list", "space",
+        "no-sets", "no-centers"])
 def test_malformed_json_input_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                                name, text, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -449,5 +460,30 @@ def test_nested_malformed_json_input_is_a_usage_error(tmp_path, monkeypatch, cap
     monkeypatch.chdir(tmp_path)
     (tmp_path / "s.json").write_text(json.dumps(circle_space(8).to_json()))
     (tmp_path / name).write_text(json.dumps(obj))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stability", "a.json", "b.json", "c.json", "--epsilon", "0.5"],
+     "map is not an 0.5-approximation: distortion 3.0, defect 0.0; both must be below epsilon"),
+    (["stability", "a.json", "five.json", "c.json", "--epsilon", "0.5"],
+     "stability pipeline needs equal sample sizes (identity map)"),
+    (["glue", "a.json", "five.json", "--region", "r.json"],
+     "need an explicit f when sample sizes differ"),
+    (["glue", "s.json", "s.json", "--region", "all.json"],
+     "strainer check failed at 1: worst margin -2.2562"),
+], ids=["stability-approximation", "stability-sizes", "glue-sizes", "glue-library"])
+def test_commands_raise_and_main_alone_reports(tmp_path, monkeypatch, capsys, argv, message):
+    # a failed approximation is lift_cover's to reject, and a rejection from
+    # the gluing library reaches stderr as it is
+    monkeypatch.chdir(tmp_path)
+    line = line_space(4)
+    files = {"a.json": line.to_json(), "b.json": FiniteMetricSpace(2.0 * line.dist).to_json(),
+             "five.json": line_space(5).to_json(), "s.json": circle_space(8).to_json(),
+             "c.json": {"sets": [[0, 1, 2, 3]], "centers": [0]}, "r.json": REGION,
+             "all.json": dict(REGION, g={str(x): x for x in range(8)})}
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
     assert main(argv) == 2
     assert capsys.readouterr().err == message + "\n"

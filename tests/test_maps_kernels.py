@@ -282,6 +282,36 @@ def test_stage_keys_are_the_supports_of_its_points(data):
         assert all(q.theta == x for q in stage.points)
 
 
+ABOVE_3_DROP = math.nextafter(3e-15, 1.0)
+ABOVE_DROP = math.nextafter(WEIGHT_DROP, 1.0)
+
+
+@pytest.mark.parametrize("x, psi0, grid, support", [
+    # psi0 drops vertex 0; at s = 2/3, x[0] + s * (0 - x[0]) computes to
+    # exactly WEIGHT_DROP, so the point drops it too, where (1 - s) * x[0]
+    # computes to 1.0000000000000003e-15
+    ({0: ABOVE_3_DROP, 1: 1.0 - ABOVE_3_DROP}, None, _s_grid(3),
+     [{0, 1}, {0, 1}, {1}, {1}]),
+    # the point at s = 1 is psi0 itself, which keeps vertex 1, where
+    # x[1] + (psi0[1] - x[1]) computes to 9.992e-16
+    ({0: 0.25, 1: 0.75}, {0: 1.0 - ABOVE_DROP, 1: ABOVE_DROP}, (0.0, 1.0),
+     [{0, 1}, {0, 1}]),
+], ids=["two-thirds", "psi0-just-above"])
+def test_stage_keys_follow_combine_where_it_meets_weight_drop(monkeypatch, x, psi0, grid,
+                                                               support):
+    # for radial_projection's own psi0, x + (psi0 - x) computes to psi0
+    # exactly (psi0's float grid is no finer than that of psi0 - x), so the
+    # second case lands the segment on a given psi0
+    if psi0 is not None:
+        psi0 = BarycentricPoint(psi0)
+        monkeypatch.setattr("nervekit.retraction.radial_projection",
+                            lambda sigma, x, t, L: (psi0, 0.0))
+    con = Contraction(line_space(6), frozenset(range(6)), 0, L)
+    stage = _simplexwise_stage((0, 1), con, BarycentricPoint(x), ConePoint(0, L / 2.0), grid, L)
+    assert [q.theta.support for q in stage.points] == support
+    assert [set(keys) for keys in stage._kept] == support
+
+
 @functools.lru_cache(maxsize=None)
 def _strained(m):
     space, pairs = grid_with_strainers(m)

@@ -665,6 +665,7 @@ def test_point_map_names_a_bad_point(i):
     ([True, False, True, False], "image must hold integer point indices, got bool"),
     ([[0], [1], [2], [3]], "image must be 1-D of the source size 4, got shape (4, 1)"),
     (np.arange(8).reshape(2, 4), "image must be 1-D of the source size 4, got shape (2, 4)"),
+    ([[0], 1, 2, 3], "image must be 1-D of the source size 4, got a ragged sequence"),
 ])
 def test_point_map_rejects_an_image_that_is_no_index_vector(image, message):
     # float images used to be truncated to points, bools read as 0 and 1

@@ -335,6 +335,35 @@ def test_strainer_check_rejects_point_outside_the_space(bad):
         Chart(space, 40, [pairs[0], (pairs[1][0], bad)], radius=3.0)
 
 
+@pytest.mark.parametrize("image, message", [
+    (None, "partial map g is undefined at chart center {c}"),
+    (85, "partial map g at chart center {c}: image 85 is not a point index in [0, 85)"),
+], ids=["undefined", "off-target"])
+def test_gluing_atlas_rejects_g_undefined_or_off_the_target_at_a_chart_center(image, message):
+    # the message names g and the center, not a bare key or a strainer point
+    space, pairs, config, g, _, _ = _glue_setup()
+    c = config.blend_zone[0]  # the first point of the net, so a chart center
+    g = {x: y for x, y in g.items() if x != c}
+    if image is not None:
+        g[c] = image
+    with pytest.raises(MetricError) as exc:
+        build_gluing_atlas(space, space, config.blend_zone, 3.0, pairs, pairs, g, delta=0.3)
+    assert str(exc.value) == message.format(c=c)
+
+
+@pytest.mark.parametrize("deltaR", [0.0, -1.0, math.nan])
+def test_gluing_rejects_a_chart_radius_that_is_not_positive(deltaR):
+    # such a deltaR would make every blend-zone point a chart center whose
+    # chart has an empty domain
+    space, pairs, config, g, _, _ = _glue_setup()
+    with pytest.raises(MetricError) as exc:
+        build_gluing_atlas(space, space, config.blend_zone, deltaR, pairs, pairs, g, delta=0.3)
+    assert str(exc.value) == f"gluing deltaR must be positive, got {deltaR}"
+    with pytest.raises(MetricError) as exc:
+        Chart(space, 40, pairs, radius=deltaR)
+    assert str(exc.value) == f"chart radius must be positive, got {deltaR}"
+
+
 @pytest.mark.parametrize("bad", [-1, 6])
 def test_gluing_distances_reject_point_outside_the_space(bad):
     # -1 used to read the last point's distance, 6 raised a bare IndexError

@@ -35,7 +35,10 @@ with sha256:
   non-contractible entries of 47,679 and exits 1.  ``nerve-whole`` is
   ``nerve`` without ``--max-dim`` on ten whole-space sets of a 12-point
   line, whose whole nerve is the 9-simplex and whose 8-skeleton is its
-  boundary
+  boundary.  Four runs hash a rejection, its exit code and stderr:
+  ``stability-rejected`` (epsilon below the distortion), ``glue-no-g-center``
+  (``g`` undefined at the first chart center), ``glue-deltaR-0`` and
+  ``nerve-cover-no-sets`` (a cover JSON without ``sets``)
 - ``metric/edge``: the stored matrix or the error message of validating two
   matrices at the tolerance edge, one whose negative diagonal makes its
   stored (0,1,0) triangle fail and one skewed triangle whose stored defect
@@ -251,6 +254,7 @@ def _cli_inputs(workdir: str) -> dict:
     write("line.json", line.to_json())
     write("line-cover.json", nk.cover.Cover(line, (frozenset(range(12)),) * 10,
                                             tuple(range(10))).to_json())
+    write("cover-no-sets.json", {"centers": list(centers)})
 
     m = 9
     grid, pairs = nk.samples.grid_with_strainers(m)
@@ -265,6 +269,11 @@ def _cli_inputs(workdir: str) -> dict:
                               for x in near})
     write("region-shifted.json", shifted)
     write("region-coarse.json", dict(region, deltaR=0.5))
+    write("region-deltaR-0.json", dict(region, deltaR=0))
+    to_D = grid.dist[:, D].min(axis=1)
+    center = int(np.flatnonzero((0.0 < to_D) & (to_D < 2.0))[0])  # the first chart center
+    write("region-no-g-center.json",
+          dict(region, g={k: v for k, v in region["g"].items() if k != str(center)}))
     return paths
 
 
@@ -313,6 +322,15 @@ def _cli(workdir: str, out: dict):
                          "--region", p["region-shifted.json"], "--out", at("out-glue.json")],
         "glue-coarse": ["glue", p["grid.json"], p["grid.json"],
                         "--region", p["region-coarse.json"], "--out", at("out-glue.json")],
+        "stability-rejected": ["stability", p["circle.json"], p["jittered.json"], p["arcs.json"],
+                               "--epsilon", "1e-06", "--out", at("out-stability.json")],
+        "glue-no-g-center": ["glue", p["grid.json"], p["grid.json"],
+                             "--region", p["region-no-g-center.json"],
+                             "--out", at("out-glue.json")],
+        "glue-deltaR-0": ["glue", p["grid.json"], p["grid.json"],
+                          "--region", p["region-deltaR-0.json"], "--out", at("out-glue.json")],
+        "nerve-cover-no-sets": ["nerve", p["circle.json"], p["cover-no-sets.json"],
+                                "--out", at("out-nerve.json")],
     }
     for name, argv in runs.items():
         for stale in os.listdir(workdir):
